@@ -73,8 +73,6 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
     tau_values = default_tau_grid() if tau_values is None else np.asarray(tau_values, dtype=np.float64)
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
         raise DomainError("ground-truth logit a must stay below 2.0 (sample must stay wrong)")
-    if np.any(tau_values <= 0):
-        raise DomainError("temperatures must be > 0")
 
     n_a = a_values.size
     Z = np.empty((n_a, 4))
@@ -85,9 +83,8 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
     loss = np.empty((n_a, tau_values.size))
     c_gt = np.empty_like(loss)
     for j, tau in enumerate(tau_values):
-        taus = np.full(n_a, tau)
-        loss[:, j] = loss_values(Z, labels, taus, kind, mode)
-        c_gt[:, j] = row_softmax(Z / tau)[:, 0]
+        loss[:, j] = loss_values(Z, labels, tau, kind, mode)
+        c_gt[:, j] = row_softmax(Z, tau)[:, 0]
     return SurfaceGrid(loss_kind=kind, mode=mode, a_values=a_values,
                        tau_values=tau_values, loss=loss, c_gt=c_gt)
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import PROB_FLOOR, row_softmax
+from .tensor_math import top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -37,11 +38,7 @@ class GlobalTemp:
 
 def nll_objective(d: Dataset, tau: float) -> float:
     """Mean cross-entropy of softmax(z / tau) against the labels."""
-    if not tau > 0:
-        raise DomainError(f"temperature must be > 0, got {tau}")
-    P = row_softmax(d.logits / tau)
-    picked = np.maximum(P[np.arange(d.n), d.labels], PROB_FLOOR)
-    return float(np.mean(-np.log(picked)))
+    return float(np.mean(loss_values(d.logits, d.labels, tau, LossKind.CE)))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -77,6 +74,4 @@ def fit_global_temperature(d: Dataset) -> GlobalTemp:
 
 def apply_global(d: Dataset, t: GlobalTemp) -> np.ndarray:
     """Per-record confidence from softmax(z / tau); argmax unchanged."""
-    P = row_softmax(d.logits / t.tau)
-    predicted = np.argmax(d.logits, axis=1)
-    return P[np.arange(d.n), predicted]
+    return top_confidence(d.logits, t.tau)

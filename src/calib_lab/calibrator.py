@@ -1,7 +1,7 @@
 """Sample-adaptive temperature calibrator.
 
 Per record, the softmax vectors of the M transform channels are
-gathered at the indices of the k largest original softmax scores and
+gathered at the indices of the k largest original logits and
 concatenated (channel-major) into an M*k feature vector. A small fully
 connected network (input -> 5 ReLU -> 1 by default, an extra 5-node
 hidden layer behind a config switch) maps the features to a positive
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset, SampleRecord
-from .tensor_math import row_softmax, scale_logits, sigmoid, softmax, softplus, top_k_indices
+from .tensor_math import row_softmax, sigmoid, softplus, top_confidence, top_k_indices
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -158,23 +158,22 @@ class ParamGradients:
     b1b: np.ndarray | None = None
 
 
+def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
+    """Gather each transform channel at every row's top-k logit indices;
+    channels are concatenated in order, each in rank order, (n, M*k)."""
+    q = top_k_indices(Z, k)                                        # (n, k)
+    gathered = np.take_along_axis(T, q[:, None, :], axis=2)
+    return gathered.reshape(Z.shape[0], T.shape[1] * k)
+
+
 def build_features(r: SampleRecord, k: int) -> np.ndarray:
-    """Gather each transform channel at the record's top-k softmax
-    indices; channels are concatenated in order, each in rank order."""
-    if not 1 <= k <= r.n_classes:
-        raise DomainError(f"k={k} outside [1, {r.n_classes}]")
-    q = top_k_indices(softmax(r.logits), k)
-    return r.transform_probs[:, q].reshape(-1)
+    """One-record view of :func:`feature_matrix`."""
+    return _features(r.logits[None, :], r.transform_probs[None], k)[0]
 
 
 def feature_matrix(d: Dataset, k: int) -> np.ndarray:
-    """Vectorized :func:`build_features` over a whole dataset, (n, M*k)."""
-    if not 1 <= k <= d.n_classes:
-        raise DomainError(f"k={k} outside [1, {d.n_classes}]")
-    probs = row_softmax(d.logits)
-    q = np.argsort(-probs, axis=1, kind="stable")[:, :k]          # (n, k)
-    gathered = np.take_along_axis(d.transform_probs, q[:, None, :], axis=2)
-    return gathered.reshape(d.n, d.n_transforms * k)
+    """Top-k transform features of every record, (n, M*k)."""
+    return _features(d.logits, d.transform_probs, k)
 
 
 def _forward_trace(p: CalibratorParams, F: np.ndarray):
@@ -209,14 +208,14 @@ def forward(p: CalibratorParams, f: np.ndarray) -> float:
     return float(forward_batch(p, f[None, :])[0])
 
 
-def calibrate(p: CalibratorParams, r: SampleRecord, k: int | None = None) -> CalibratedSample:
-    """Temperature, rescaled softmax vector, and its top score for one
-    record. The predicted label is unchanged by construction."""
-    k = p.k if k is None else k
-    tau = forward(p, build_features(r, k))
-    probs = softmax(scale_logits(r.logits, tau))
-    predicted = int(np.argmax(r.logits))
-    return CalibratedSample(tau=tau, probs=probs, confidence=float(probs[predicted]))
+def calibrate(p: CalibratorParams, r: SampleRecord) -> CalibratedSample:
+    """One-record view of :func:`calibrate_dataset`, with the full
+    rescaled softmax vector. The predicted label is unchanged by
+    construction."""
+    d = Dataset.from_records([r])
+    taus, confidences = calibrate_dataset(p, d)
+    return CalibratedSample(tau=float(taus[0]), probs=row_softmax(d.logits, taus)[0],
+                            confidence=float(confidences[0]))
 
 
 def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -226,9 +225,7 @@ def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.n
             f"dataset (C={d.n_classes}, M={d.n_transforms}) does not match calibrator "
             f"(C={p.n_classes}, M={p.n_transforms})")
     taus = forward_batch(p, feature_matrix(d, p.k))
-    P = row_softmax(d.logits / taus[:, None])
-    predicted = np.argmax(d.logits, axis=1)
-    return taus, P[np.arange(d.n), predicted]
+    return taus, top_confidence(d.logits, taus)
 
 
 def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,

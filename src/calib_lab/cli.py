@@ -10,16 +10,12 @@ Subcommands wire together the library modules:
 * ``wrongness`` wrongness-band experiment CSV
 * ``ksweep``    top-k sweep CSV
 
-All writes are atomic; failed runs leave no partial outputs. The
-CALIB_LAB_THREADS environment variable caps internal parallelism (the
-numeric core currently runs single-threaded, so any positive cap is
-honored as-is).
+All writes are atomic; failed runs leave no partial outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -28,22 +24,6 @@ from . import analysis, baselines, calibrator, datagen, io, metrics
 from .errors import CalibrationError
 from .losses import DiscrepancyMode, LossKind
 from .records import correctness_view
-
-THREADS_ENV = "CALIB_LAB_THREADS"
-
-
-def thread_cap() -> int:
-    """Positive thread cap from the environment, hardware count otherwise."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CalibrationError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise CalibrationError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -240,7 +220,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        thread_cap()
         return args.func(args)
     except (CalibrationError, OSError, ValueError) as exc:
         print(f"calib-lab: error: {exc}", file=sys.stderr)

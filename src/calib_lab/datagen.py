@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ShortfallError
 from .records import Dataset, correctness_view, wrongness_ratios
+from .tensor_math import predicted_labels
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def generate(cfg: SynthConfig) -> Dataset:
     wrong_lift = (rng.random(n) ** cfg.wrongness_skew) * cfg.sharpness
     logits[~correct, labels[~correct]] += wrong_lift[~correct]
     # Noise can overturn the intended argmax; swap it back into place.
-    top = np.argmax(logits, axis=1)
+    top = predicted_labels(logits)
     off = top != predicted
     off_rows = rows[off]
     logits[off_rows, top[off]], logits[off_rows, predicted[off]] = (

@@ -38,14 +38,23 @@ METRICS_HEADER = ("method", "ece", "bs", "ks", "auroc", "accuracy", "n")
 SURFACE_HEADER = ("loss_kind", "a", "tau", "loss", "c_gt")
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it, so put it straight back.
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def _atomic_open(path):
-    """Write to a temp file in the target directory, rename on success."""
+    """Write to a temp file in the target directory, rename on success.
+    The file gets the usual 0o666 & ~umask mode, not mkstemp's 0o600."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -184,15 +193,17 @@ def load_params(path) -> CalibratorParams:
         if key not in obj:
             raise InvalidInputError(f"parameter file is missing field {key!r}")
     c, m, k = obj["C"], obj["M"], obj["k"]
-    for name, value in (("C", c), ("M", m), ("k", k)):
-        if not isinstance(value, int) or value < 1:
+    # bool is an int subclass, so JSON true/false must be rejected by name.
+    for name in ("C", "M", "k"):
+        if not isinstance(obj[name], int) or isinstance(obj[name], bool) or obj[name] < 1:
             raise InvalidInputError(f"parameter field {name!r} must be a positive integer")
+    for name in ("b2", "tau_min"):
+        if not isinstance(obj[name], (int, float)) or isinstance(obj[name], bool):
+            raise InvalidInputError(f"parameter field {name!r} must be a number")
     d_in = m * k
     w1 = _require_shape("W1", obj["W1"], (HIDDEN_WIDTH, d_in))
     b1 = _require_shape("b1", obj["b1"], (HIDDEN_WIDTH,))
     w2 = _require_shape("W2", obj["W2"], (1, HIDDEN_WIDTH))
-    if not isinstance(obj["b2"], (int, float)):
-        raise InvalidInputError("parameter field 'b2' must be a number")
     w1b = b1b = None
     if "W1b" in obj or "b1b" in obj:
         w1b = _require_shape("W1b", obj.get("W1b"), (HIDDEN_WIDTH, HIDDEN_WIDTH))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import PROB_FLOOR, row_softmax
+from .tensor_math import PROB_FLOOR, predicted_labels, row_softmax
 
 
 class DiscrepancyMode(enum.Enum):
@@ -71,35 +71,34 @@ class Decomposition:
         return self.rho >= 0.5
 
 
-def _check_confidence(c_hat: float) -> float:
-    if not (np.isfinite(c_hat) and 0.0 < c_hat <= 1.0):
-        raise DomainError(f"confidence must lie in (0, 1], got {c_hat}")
-    return float(c_hat)
+def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
+    """Validate equal-length 1-D confidence and correctness vectors; every
+    confidence must lie in (0, 1]."""
+    confidences = np.asarray(confidences, dtype=np.float64)
+    correct = np.asarray(correct, dtype=bool)
+    if confidences.ndim != 1 or confidences.shape != correct.shape:
+        raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
+    if confidences.size == 0:
+        raise DomainError("batch must be non-empty")
+    # The comparisons are False for NaN, so this also rejects non-finite values.
+    if not np.all((confidences > 0.0) & (confidences <= 1.0)):
+        raise DomainError("confidences must lie in (0, 1]")
+    return confidences, correct
+
+
+def _discrepancy(residual: np.ndarray, mode: DiscrepancyMode) -> np.ndarray:
+    return np.abs(residual) if mode is DiscrepancyMode.L1 else residual * residual
 
 
 def ca_loss(c_hat: float, correct: bool, mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Per-sample correctness-aware loss: distance from the indicator."""
-    c_hat = _check_confidence(c_hat)
-    residual = c_hat - (1.0 if correct else 0.0)
-    if mode is DiscrepancyMode.L1:
-        return abs(residual)
-    return residual * residual
+    return ca_loss_batch([c_hat], [correct], mode)
 
 
 def ca_loss_batch(confidences, correct, mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Mean per-sample correctness-aware loss over a batch."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    if confidences.size == 0:
-        raise DomainError("batch must be non-empty")
-    if confidences.shape != correct.shape:
-        raise InvalidInputError("confidences and correctness flags must have equal length")
-    if np.any(confidences <= 0) or np.any(confidences > 1) or not np.all(np.isfinite(confidences)):
-        raise DomainError("confidences must lie in (0, 1]")
-    residual = confidences - correct.astype(np.float64)
-    if mode is DiscrepancyMode.L1:
-        return float(np.mean(np.abs(residual)))
-    return float(np.mean(residual * residual))
+    confidences, correct = check_pair(confidences, correct)
+    return float(np.mean(_discrepancy(confidences - correct.astype(np.float64), mode)))
 
 
 def ca_bounds(rho: float, n_classes: int) -> LossBounds:
@@ -123,12 +122,7 @@ def decompose(confidences, correct, pairing: str = "lowest",
     seeded random subset. The recombination identity holds for either
     choice when rho >= 0.5.
     """
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    if confidences.size == 0:
-        raise DomainError("batch must be non-empty")
-    if np.any(confidences <= 0) or np.any(confidences > 1):
-        raise DomainError("confidences must lie in (0, 1]")
+    confidences, correct = check_pair(confidences, correct)
     if pairing not in ("lowest", "random"):
         raise DomainError(f"unknown pairing {pairing!r}")
 
@@ -152,56 +146,65 @@ def decompose(confidences, correct, pairing: str = "lowest",
                          reconstruction=float(reconstruction), pairing=pairing)
 
 
-def ce_loss(p, label: int) -> float:
-    """Cross-entropy -log p[label], probabilities floored at 1e-12."""
+def ce_rows(P, labels) -> np.ndarray:
+    """Per-row cross-entropy -log P[i, y_i], probabilities floored at 1e-12."""
+    return -np.log(np.maximum(P[np.arange(P.shape[0]), labels], PROB_FLOOR))
+
+
+def _one_hot_residual(P, labels) -> np.ndarray:
+    residual = np.array(P, dtype=np.float64)
+    residual[np.arange(residual.shape[0]), labels] -= 1.0
+    return residual
+
+
+def mse_rows(P, labels) -> np.ndarray:
+    """Per-row squared distance between P[i] and the one-hot label y_i."""
+    residual = _one_hot_residual(P, labels)
+    return np.sum(residual * residual, axis=1)
+
+
+def _one_row(p, label: int) -> tuple[np.ndarray, list[int]]:
     p = np.asarray(p, dtype=np.float64)
     if not 0 <= label < p.shape[0]:
         raise DomainError(f"label {label} outside [0, {p.shape[0]})")
-    return float(-np.log(max(p[label], PROB_FLOOR)))
+    return p[None, :], [label]
+
+
+def ce_loss(p, label: int) -> float:
+    """Cross-entropy of one probability vector, floored at 1e-12."""
+    return float(ce_rows(*_one_row(p, label))[0])
 
 
 def mse_loss(p, label: int) -> float:
-    """Squared error between the probability vector and the one-hot label."""
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= label < p.shape[0]:
-        raise DomainError(f"label {label} outside [0, {p.shape[0]})")
-    residual = p.copy()
-    residual[label] -= 1.0
-    return float(np.dot(residual, residual))
+    """Squared error between one probability vector and the one-hot label."""
+    return float(mse_rows(*_one_row(p, label))[0])
+
+
+def _tempered(Z, labels, taus):
+    """Shared prologue of the batched losses: float logits, integer
+    labels, softmax(z_i / tau_i) and the row index."""
+    Z = np.asarray(Z, dtype=np.float64)
+    return Z, np.asarray(labels, dtype=np.int64), row_softmax(Z, taus), np.arange(Z.shape[0])
 
 
 def loss_values(Z, labels, taus, kind: LossKind,
                 mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
-    """Per-sample loss of softmax(z_i / tau_i) for each row, as configured."""
-    Z = np.asarray(Z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    taus = np.asarray(taus, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InvalidInputError("Z must be an (n, C) matrix")
-    n = Z.shape[0]
-    if np.any(taus <= 0) or not np.all(np.isfinite(taus)):
-        raise DomainError("temperatures must be finite and > 0")
-    P = row_softmax(Z / taus[:, None])
-    idx = np.arange(n)
+    """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
+    ``taus`` is a scalar or one temperature per row."""
+    Z, labels, P, idx = _tempered(Z, labels, taus)
     if kind is LossKind.CE:
-        return -np.log(np.maximum(P[idx, labels], PROB_FLOOR))
+        return ce_rows(P, labels)
     if kind is LossKind.MSE:
-        residual = P.copy()
-        residual[idx, labels] -= 1.0
-        return np.sum(residual * residual, axis=1)
-    # CA: compare the top score against correctness of the tau-invariant argmax.
-    predicted = np.argmax(Z, axis=1)
-    c_hat = P[idx, predicted]
-    indicator = (predicted == labels).astype(np.float64)
-    residual = c_hat - indicator
-    return np.abs(residual) if mode is DiscrepancyMode.L1 else residual * residual
+        return mse_rows(P, labels)
+    # CA: compare the top score against correctness of the tau-invariant prediction.
+    predicted = predicted_labels(Z)
+    return _discrepancy(P[idx, predicted] - (predicted == labels), mode)
 
 
 def loss_at_tau(z, label: int, tau: float, kind: LossKind,
                 mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Single-sample loss at a given temperature."""
-    z = np.asarray(z, dtype=np.float64)
-    return float(loss_values(z[None, :], np.array([label]), np.array([tau]), kind, mode)[0])
+    return float(loss_values([z], [label], [tau], kind, mode)[0])
 
 
 def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
@@ -214,26 +217,21 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     into each loss; the cross-entropy derivative is zero in the floored
     region.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    taus = np.asarray(taus, dtype=np.float64)
-    if np.any(taus <= 0) or not np.all(np.isfinite(taus)):
-        raise DomainError("temperatures must be finite and > 0")
-    n = Z.shape[0]
-    idx = np.arange(n)
-    P = row_softmax(Z / taus[:, None])
+    Z, labels, P, idx = _tempered(Z, labels, taus)
     zbar = np.sum(P * Z, axis=1)
+    taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus
 
     if kind is LossKind.CE:
-        grad = (Z[idx, labels] - zbar) / tau_sq
+        # A floored row may overflow here; its value is discarded below.
+        with np.errstate(over="ignore"):
+            grad = (Z[idx, labels] - zbar) / tau_sq
         return np.where(P[idx, labels] > PROB_FLOOR, grad, 0.0)
     if kind is LossKind.MSE:
-        residual = P.copy()
-        residual[idx, labels] -= 1.0
-        dP = -(P / tau_sq[:, None]) * (Z - zbar[:, None])
+        residual = _one_hot_residual(P, labels)
+        dP = -(P / tau_sq[..., None]) * (Z - zbar[:, None])
         return np.sum(2.0 * residual * dP, axis=1)
-    predicted = np.argmax(Z, axis=1)
+    predicted = predicted_labels(Z)
     c_hat = P[idx, predicted]
     dc_dtau = -(c_hat / tau_sq) * (Z[idx, predicted] - zbar)
     indicator = (predicted == labels).astype(np.float64)
@@ -247,9 +245,4 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
 def dloss_dtau(z, label: int, tau: float, kind: LossKind,
                mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Scalar form of :func:`dloss_dtau_batch`."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise InvalidInputError("z must be a 1-D logit vector")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("z contains non-finite entries")
-    return float(dloss_dtau_batch(z[None, :], np.array([label]), np.array([tau]), kind, mode)[0])
+    return float(dloss_dtau_batch([z], [label], [tau], kind, mode)[0])

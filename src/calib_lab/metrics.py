@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, UndefinedMetricError
+from .losses import DiscrepancyMode, ca_loss_batch, check_pair, mse_rows
 from .records import NARROWLY_WRONG_THRESHOLD, Dataset, correctness_view, wrongness_ratios
 
 DEFAULT_BINS = 25
@@ -31,25 +32,13 @@ class MetricsReport:
     bins: int
 
 
-def _check_pair(confidences, correct):
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
-    if confidences.ndim != 1 or confidences.shape != correct.shape:
-        raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
-    if confidences.size == 0:
-        raise DomainError("metrics require at least one sample")
-    if np.any(confidences <= 0) or np.any(confidences > 1) or not np.all(np.isfinite(confidences)):
-        raise DomainError("confidences must lie in (0, 1]")
-    return confidences, correct
-
-
 def ece(confidences, correct, bins: int = DEFAULT_BINS) -> float:
     """Expected calibration error over `bins` equal-width bins on (0, 1].
 
     Bins are left-open/right-closed so a confidence of exactly 1 lands
     in the last bin; empty bins contribute nothing.
     """
-    confidences, correct = _check_pair(confidences, correct)
+    confidences, correct = check_pair(confidences, correct)
     if bins < 1:
         raise DomainError("bins must be >= 1")
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -66,7 +55,7 @@ def ece(confidences, correct, bins: int = DEFAULT_BINS) -> float:
 
 def ace(confidences, correct, bins: int = DEFAULT_BINS) -> float:
     """Adaptive (equal-mass) variant of ECE; not part of headline reports."""
-    confidences, correct = _check_pair(confidences, correct)
+    confidences, correct = check_pair(confidences, correct)
     if bins < 1:
         raise DomainError("bins must be >= 1")
     order = np.argsort(confidences, kind="stable")
@@ -81,28 +70,25 @@ def ace(confidences, correct, bins: int = DEFAULT_BINS) -> float:
 
 
 def brier_top_label(confidences, correct) -> float:
-    """Mean squared gap between top-label confidence and correctness."""
-    confidences, correct = _check_pair(confidences, correct)
-    residual = confidences - correct.astype(np.float64)
-    return float(np.mean(residual * residual))
+    """Mean squared gap between top-label confidence and correctness: the
+    squared-distance CA loss of the batch."""
+    return ca_loss_batch(confidences, correct, DiscrepancyMode.SQUARED_L2)
 
 
 def brier_multiclass(probs, labels) -> float:
     """Full-vector Brier score against one-hot labels (separate from the
-    top-label form used in reports)."""
+    top-label form used in reports): the mean MSE loss."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
         raise InvalidInputError("probs must be (n, C) with matching labels")
-    residual = probs.copy()
-    residual[np.arange(probs.shape[0]), labels] -= 1.0
-    return float(np.mean(np.sum(residual * residual, axis=1)))
+    return float(np.mean(mse_rows(probs, labels)))
 
 
 def ks_error(confidences, correct) -> float:
     """Max gap between cumulative confidence and cumulative correctness
     over confidence-sorted prefixes (ties kept in original order)."""
-    confidences, correct = _check_pair(confidences, correct)
+    confidences, correct = check_pair(confidences, correct)
     order = np.argsort(confidences, kind="stable")
     diff = confidences[order] - correct[order].astype(np.float64)
     return float(np.max(np.abs(np.cumsum(diff))) / confidences.size)
@@ -111,7 +97,7 @@ def ks_error(confidences, correct) -> float:
 def auroc(confidences, correct) -> float:
     """Probability a random correct sample outranks a random wrong one,
     ties counted one half (rank-sum form)."""
-    confidences, correct = _check_pair(confidences, correct)
+    confidences, correct = check_pair(confidences, correct)
     n_pos = int(np.sum(correct))
     n_neg = confidences.size - n_pos
     if n_pos == 0 or n_neg == 0:

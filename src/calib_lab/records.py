@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import row_softmax, softmax
+from .tensor_math import predicted_labels, row_softmax, top_confidence
 
 # A wrongly predicted sample counts as narrowly wrong when the ratio of
 # ground-truth to predicted-class probability exceeds this threshold.
@@ -33,29 +33,11 @@ class SampleRecord:
     transform_probs: np.ndarray  # (M, C), rows sum to 1
 
     def __post_init__(self):
-        # Copy before freezing so caller-owned arrays keep their flags.
-        logits = np.array(self.logits, dtype=np.float64)
-        probs = np.array(self.transform_probs, dtype=np.float64)
-        if logits.ndim != 1 or logits.shape[0] < 2:
-            raise InvalidInputError(f"logits must be 1-D with C >= 2, got shape {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInputError("logits contain non-finite entries")
-        c = logits.shape[0]
-        if not 0 <= int(self.label) < c:
-            raise InvalidInputError(f"label {self.label} outside [0, {c})")
-        if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] != c:
-            raise InvalidInputError(
-                f"transform_probs must have shape (M, {c}) with M >= 1, got {probs.shape}")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise InvalidInputError("transform probabilities must be finite and >= 0")
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _PROB_SUM_TOL):
-            raise InvalidInputError("transform probability rows must sum to 1 within 1e-9")
-        logits.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "label", int(self.label))
-        object.__setattr__(self, "transform_probs", probs)
+        # Validated, copied and frozen as a one-record dataset.
+        d = Dataset([self.logits], [self.label], [self.transform_probs])
+        object.__setattr__(self, "logits", d.logits[0])
+        object.__setattr__(self, "label", int(d.labels[0]))
+        object.__setattr__(self, "transform_probs", d.transform_probs[0])
 
     @property
     def n_classes(self) -> int:
@@ -138,10 +120,6 @@ class Dataset:
     def __getitem__(self, i: int) -> SampleRecord:
         return SampleRecord(self.logits[i], int(self.labels[i]), self.transform_probs[i])
 
-    @property
-    def records(self):
-        return [self[i] for i in range(self.n)]
-
     def subset(self, indices) -> "Dataset":
         """Selection-only subset; record contents are preserved bit-exactly."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -176,29 +154,25 @@ def correctness_view(d: Dataset) -> CorrectnessView:
     """Predicted label, correctness indicator, and uncalibrated confidence
     for every record. Only the logits and labels matter; transform
     channels never enter."""
-    probs = row_softmax(d.logits)
-    predicted = np.argmax(probs, axis=1)
-    correct = predicted == d.labels
-    confidence = probs[np.arange(d.n), predicted]
-    return CorrectnessView(predicted.astype(np.int64), correct, confidence)
+    predicted = predicted_labels(d.logits)
+    return CorrectnessView(predicted.astype(np.int64), predicted == d.labels,
+                           top_confidence(d.logits))
 
 
 def wrongness_ratio(r: SampleRecord) -> float:
     """Ground-truth probability over predicted-class probability for a
     wrongly predicted record. Always in (0, 1] since the predicted class
     holds the maximum."""
-    p = softmax(r.logits)
-    predicted = int(np.argmax(p))
-    if predicted == r.label:
+    ratio = float(wrongness_ratios(Dataset.from_records([r]))[0])
+    if np.isnan(ratio):
         raise DomainError("wrongness ratio is undefined for correctly predicted records")
-    return float(p[r.label] / p[predicted])
+    return ratio
 
 
 def wrongness_ratios(d: Dataset) -> np.ndarray:
     """Vectorized wrongness ratios; NaN for correctly predicted records."""
     probs = row_softmax(d.logits)
-    predicted = np.argmax(probs, axis=1)
+    predicted = predicted_labels(d.logits)
     idx = np.arange(d.n)
     ratios = probs[idx, d.labels] / probs[idx, predicted]
-    ratios = np.where(predicted == d.labels, np.nan, ratios)
-    return ratios
+    return np.where(predicted == d.labels, np.nan, ratios)

@@ -1,8 +1,12 @@
-"""Numerically stable vector primitives used by every other module.
+"""Numerically stable primitives used by every other module.
 
-All functions operate on 1-D float64 vectors; ``row_softmax`` is the
-batched variant used on (n, C) logit matrices. Probabilities destined
-for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
+``row_softmax`` is the one softmax: it works on (n, C) logit matrices at
+an optional temperature (a scalar or one per row); ``softmax`` and
+``max_confidence`` are its one-row views and ``scale_logits`` shares its
+temperature check.
+``predicted_labels`` is the one definition of the predicted class
+(argmax of the logits, which no temperature can move). Probabilities
+destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
 """
 
 from __future__ import annotations
@@ -24,53 +28,82 @@ def _as_logits(z) -> np.ndarray:
     return z
 
 
-def softmax(z) -> np.ndarray:
-    """Softmax with max-shift for overflow safety."""
-    z = _as_logits(z)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def _check_taus(taus) -> np.ndarray:
+    taus = np.asarray(taus, dtype=np.float64)
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise DomainError("temperatures must be finite and > 0")
+    return taus
 
 
-def row_softmax(Z: np.ndarray) -> np.ndarray:
-    """Softmax applied to each row of an (n, C) matrix."""
+def row_softmax(Z, taus=None) -> np.ndarray:
+    """softmax(z / tau) of each row of an (n, C) matrix; ``taus`` is
+    None (tau = 1), a scalar, or one temperature per row.
+
+    The row max is subtracted before dividing, so large but finite
+    logits cannot overflow at any temperature.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise InvalidInputError("logit matrix contains non-finite entries")
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    if taus is not None:
+        taus = _check_taus(taus)
+        if taus.ndim == 1 and taus.shape[0] == Z.shape[0]:
+            taus = taus[:, None]
+        elif taus.ndim != 0:
+            raise InvalidInputError(f"expected a scalar or {Z.shape[0]} temperatures, "
+                                    f"got shape {taus.shape}")
+    # The shifted entries are <= 0, so an overflow can only produce -inf,
+    # whose exponential is an exact 0.
+    with np.errstate(over="ignore"):
+        shifted = Z - Z.max(axis=1, keepdims=True)
+        if taus is not None:
+            shifted /= taus
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted
+
+
+def predicted_labels(Z) -> np.ndarray:
+    """Predicted class of each row: the argmax of the logits (the first
+    one on ties), unchanged by any temperature."""
+    return np.argmax(Z, axis=1)
+
+
+def top_confidence(Z, taus=None) -> np.ndarray:
+    """Softmax score of each row's predicted class at the given temperature(s)."""
+    P = row_softmax(Z, taus)
+    return P[np.arange(P.shape[0]), predicted_labels(Z)]
+
+
+def softmax(z) -> np.ndarray:
+    """One-row view of :func:`row_softmax`."""
+    return row_softmax(_as_logits(z)[None, :])[0]
 
 
 def scale_logits(z, tau: float) -> np.ndarray:
-    """Element-wise z / tau; tau must be strictly positive."""
-    z = _as_logits(z)
-    if not (np.isfinite(tau) and tau > 0):
-        raise DomainError(f"temperature must be finite and > 0, got {tau}")
-    return z / tau
+    """Element-wise z / tau; tau must be finite and strictly positive."""
+    return _as_logits(z) / _check_taus(tau)
 
 
 def top_k_indices(v, k: int) -> np.ndarray:
-    """Indices of the k largest entries, descending; ties favor the smaller index."""
+    """Indices of the k largest entries along the last axis of a vector
+    or a matrix, descending; ties favor the smaller index."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidInputError(f"expected a 1-D vector, got shape {v.shape}")
-    if not 1 <= k <= v.shape[0]:
-        raise DomainError(f"k must satisfy 1 <= k <= {v.shape[0]}, got {k}")
+    if v.ndim not in (1, 2):
+        raise InvalidInputError(f"expected a vector or a matrix, got shape {v.shape}")
+    if not 1 <= k <= v.shape[-1]:
+        raise DomainError(f"k must satisfy 1 <= k <= {v.shape[-1]}, got {k}")
     # Stable sort on the negated values keeps equal entries in index order.
-    return np.argsort(-v, kind="stable")[:k]
+    return np.argsort(-v, axis=-1, kind="stable")[..., :k]
 
 
 def max_confidence(z, tau: float = 1.0) -> tuple[int, float]:
-    """Predicted label and its softmax score under temperature tau.
-
-    The argmax is invariant to tau; only the score changes.
-    """
-    p = softmax(scale_logits(z, tau))
-    label = int(np.argmax(p))
-    return label, float(p[label])
+    """Predicted label and its softmax score under temperature tau, for
+    one logit vector. The label is invariant to tau; only the score changes."""
+    Z = _as_logits(z)[None, :]
+    return int(predicted_labels(Z)[0]), float(top_confidence(Z, tau)[0])
 
 
 def softplus(x):
@@ -78,11 +111,9 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def sigmoid(x):
-    """Logistic function, the derivative of softplus."""
-    out = np.empty_like(x, dtype=np.float64) if isinstance(x, np.ndarray) else None
-    if out is None:
-        return 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Element-wise logistic function, the derivative of softplus."""
+    out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

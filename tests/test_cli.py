@@ -1,9 +1,10 @@
 import csv
+import os
 
 import pytest
 
 from calib_lab.calibrator import constant_temperature_params
-from calib_lab.cli import run, thread_cap
+from calib_lab.cli import run
 from calib_lab.io import save_params
 
 # Frozen raw metrics from the first recorded run of the pipeline
@@ -155,12 +156,11 @@ def test_eval_is_idempotent(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_thread_cap_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CALIB_LAB_THREADS", "2")
-    assert thread_cap() == 2
-    monkeypatch.setenv("CALIB_LAB_THREADS", "zero")
-    out = tmp_path / "x.jsonl"
-    assert run(["synth", "--out", str(out), "--n", "10"]) == 2
-    assert "CALIB_LAB_THREADS" in capsys.readouterr().err
-    monkeypatch.delenv("CALIB_LAB_THREADS")
-    assert thread_cap() >= 1
+
+def test_outputs_respect_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        path = synth(tmp_path, "d.jsonl", n=10)
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644

@@ -163,6 +163,20 @@ def test_params_shape_tamper_names_field(tmp_path):
         load_params(path)
 
 
+
+@pytest.mark.parametrize("field,value", [
+    ("C", True), ("M", True), ("k", True), ("b2", True), ("b2", "0.5"),
+    ("tau_min", True), ("tau_min", [0.05]), ("tau_min", None),
+])
+def test_params_bad_field_type_names_field(tmp_path, field, value):
+    path = tmp_path / "params.json"
+    save_params(path, init_params(4, 1, 1, seed=0))
+    obj = json.loads(path.read_text())
+    obj[field] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidInputError, match=f"'{field}'"):
+        load_params(path)
+
 def test_metrics_csv_schema_and_scaling(tmp_path):
     d = generate(SynthConfig(n=300, seed=53))
     rep = report(d)
