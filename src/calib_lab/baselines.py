@@ -1,15 +1,14 @@
 """Global temperature scaling and the uncalibrated pass-through.
 
 The single temperature is fitted by minimizing mean cross-entropy of
-softmax(z / tau) against the labels: a coarse log-spaced grid over
-[0.05, 50] locates the basin, golden-section search narrows it below
-1e-4. The plain grid point 1.0 is always a candidate, so the fitted
-objective can never exceed the unscaled one.
+softmax(z / tau) against the labels. That objective is convex in
+beta = 1 / tau, so a Newton iteration in beta, safeguarded by bisection,
+finds its minimum over tau in [0.05, 50]. tau = 1 is always a candidate,
+so the fitted objective can never exceed the unscaled one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +16,10 @@ import numpy as np
 from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import top_confidence
+from .tensor_math import PROB_FLOOR, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
-TAU_GRID_POINTS = 60
-REFINE_TOL = 1e-4
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -41,35 +36,55 @@ def nll_objective(d: Dataset, tau: float) -> float:
     return float(np.mean(loss_values(d.logits, d.labels, tau, LossKind.CE)))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    c = hi - _INV_PHI * (hi - lo)
-    d_ = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d_)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d_, fd = d_, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d_, fd
-            d_ = lo + _INV_PHI * (hi - lo)
-            fd = f(d_)
-    return 0.5 * (lo + hi)
-
-
 def fit_global_temperature(d: Dataset) -> GlobalTemp:
     """Best single temperature for a dataset under the CE objective."""
-    grid = np.geomspace(TAU_GRID_LO, TAU_GRID_HI, TAU_GRID_POINTS)
-    grid = np.unique(np.append(grid, 1.0))
-    objective = [nll_objective(d, t) for t in grid]
-    best = int(np.argmin(objective))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    refined = _golden_section(lambda t: nll_objective(d, t), lo, hi, REFINE_TOL)
-    # Keep whichever candidate actually wins; grid point 1.0 included.
-    if nll_objective(d, refined) <= objective[best]:
-        return GlobalTemp(tau=float(refined))
-    return GlobalTemp(tau=float(grid[best]))
+    shifted = d.logits - d.logits.max(axis=1, keepdims=True)
+    rows = np.arange(d.n)
+    label_z = shifted[rows, d.labels]
+    buf = np.empty_like(shifted)
+
+    def derivatives(beta: float) -> tuple[float, float]:
+        # d/dbeta and d2/dbeta2 of the summed CE: E_p[z] - z_y and Var_p(z)
+        # summed over the rows whose label probability is not floored.
+        # beta * z <= 0 can only overflow to -inf, whose exponential is an exact 0.
+        with np.errstate(over="ignore"):
+            np.multiply(shifted, beta, out=buf)
+        np.exp(buf, out=buf)
+        total = buf.sum(axis=1)
+        live = buf[rows, d.labels] > PROB_FLOOR * total
+        # Where e^(beta z) > 0, |z| < 750 / beta, so e z^2 stays finite; elsewhere it is 0.
+        np.multiply(buf, shifted, out=buf)
+        mean_z = buf.sum(axis=1) / total
+        np.multiply(buf, shifted, out=buf)
+        var_z = buf.sum(axis=1) / total - mean_z * mean_z
+        return float(np.sum((mean_z - label_z)[live])), float(np.sum(var_z[live]))
+
+    lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO
+    if derivatives(lo)[0] >= 0.0:
+        tau = TAU_GRID_HI
+    elif derivatives(hi)[0] <= 0.0:
+        tau = TAU_GRID_LO
+    else:
+        beta = 1.0
+        # 64 bisections alone would exhaust the float64 resolution of the bracket.
+        for _ in range(64):
+            slope, curvature = derivatives(beta)
+            # Stop once the Newton step is below 1e-12 of beta.
+            if abs(slope) <= 1e-12 * beta * curvature:
+                break
+            if slope > 0.0:
+                hi = beta
+            else:
+                lo = beta
+            if curvature > 0.0 and lo < beta - slope / curvature < hi:
+                beta -= slope / curvature
+            else:
+                beta = 0.5 * (lo + hi)
+        tau = 1.0 / beta
+    # Keep whichever candidate actually wins; tau = 1 on a tie.
+    if nll_objective(d, tau) < nll_objective(d, 1.0):
+        return GlobalTemp(tau=tau)
+    return GlobalTemp(tau=1.0)
 
 
 def apply_global(d: Dataset, t: GlobalTemp) -> np.ndarray:

@@ -110,15 +110,12 @@ def auroc(confidences, correct) -> float:
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.append(True, sorted_vals[1:] != sorted_vals[:-1]))
+    sizes = np.diff(np.append(starts, values.size))
+    ranks = np.empty(values.size, dtype=np.float64)
+    # Sorted positions i..j share the midrank (i + j) / 2 + 1.
+    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)
     return ranks
 
 

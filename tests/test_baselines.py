@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from calib_lab.baselines import GlobalTemp, apply_global, fit_global_temperature, nll_objective
+from calib_lab import baselines
+from calib_lab.baselines import (TAU_GRID_HI, TAU_GRID_LO, GlobalTemp, apply_global,
+                                 fit_global_temperature, nll_objective)
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError
 from calib_lab.metrics import auroc
@@ -42,6 +44,42 @@ def test_fitted_temperature_scales_with_logits():
     scaled = Dataset(2.0 * d.logits, d.labels, d.transform_probs)
     t2 = fit_global_temperature(scaled)
     assert abs(t2.tau - 2.0 * t1.tau) < 1e-3 * max(1.0, t1.tau)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate(SynthConfig(n=2000, seed=8)),
+    lambda: generate(SynthConfig(n_classes=100, n=1000, seed=9)),
+    lambda: well_specified_dataset(n=5000, seed=2),
+], ids=["c10", "c100", "well-specified"])
+def test_fit_beats_fine_grid_around_it(make):
+    d = make()
+    tau = fit_global_temperature(d).tau
+    grid = tau * np.linspace(0.99, 1.01, 2001)
+    assert nll_objective(d, tau) <= min(nll_objective(d, float(t)) for t in grid) + 1e-12
+
+
+def test_fit_stops_at_bracket_edges():
+    rng = np.random.default_rng(0)
+    logits = rng.normal(0.0, 2.0, (500, 5))
+    transforms = np.full((500, 1, 5), 0.2)
+    # every record correct: sharper is always better
+    all_correct = Dataset(logits, np.argmax(logits, axis=1), transforms)
+    assert fit_global_temperature(all_correct).tau == TAU_GRID_LO
+    # every label is the least likely class: flatter is always better
+    all_wrong = Dataset(logits, np.argmin(logits, axis=1), transforms)
+    assert fit_global_temperature(all_wrong).tau == TAU_GRID_HI
+
+
+def test_fit_evaluates_the_objective_twice(monkeypatch):
+    calls = []
+
+    def counting(d, tau):
+        calls.append(tau)
+        return nll_objective(d, tau)
+
+    monkeypatch.setattr(baselines, "nll_objective", counting)
+    t = fit_global_temperature(generate(SynthConfig(n=2000, seed=0)))
+    assert len(calls) == 2 and set(calls) == {t.tau, 1.0}
 
 
 def test_objective_at_optimum_beats_tau_one():

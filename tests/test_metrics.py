@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_lab.calibrator import constant_temperature_params, calibrate_dataset
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, ca_loss_batch
-from calib_lab.metrics import (ace, auroc, brier_multiclass, brier_top_label, ece, ks_error,
-                               report)
+from calib_lab.metrics import (_midranks, ace, auroc, brier_multiclass, brier_top_label, ece,
+                               ks_error, report)
 from calib_lab.records import correctness_view
 
 
@@ -40,6 +42,21 @@ def auroc_oracle(conf, correct):
     neg = conf[~correct]
     wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
     return wins / (len(pos) * len(neg))
+
+
+def midranks_oracle(values):
+    """The original tie-walking loop: 1-based ranks, ties averaged."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def random_set(rng, n=None):
@@ -99,6 +116,17 @@ def test_auroc_matches_all_pairs():
     for _ in range(60):
         conf, correct = random_set(rng)
         assert abs(auroc(conf, correct) - auroc_oracle(conf, correct)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-5, 5), min_size=1, max_size=300),
+    st.integers(1, 300).map(lambda n: [7] * n),
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50),
+))
+def test_midranks_bit_identical_to_loop(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert np.array_equal(_midranks(values), midranks_oracle(values))
 
 
 def test_auroc_undefined_for_single_class():
