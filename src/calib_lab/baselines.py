@@ -1,10 +1,12 @@
 """Global temperature scaling and the uncalibrated pass-through.
 
 The single temperature is fitted by minimizing mean cross-entropy of
-softmax(z / tau) against the labels. That objective is convex in
-beta = 1 / tau, so a Newton iteration in beta, safeguarded by bisection,
-finds its minimum over tau in [0.05, 50]. tau = 1 is always a candidate,
-so the fitted objective can never exceed the unscaled one.
+softmax(z / tau) against the labels. Without the PROB_FLOOR clamp that
+objective, logsumexp(beta z) - beta z_y, is convex in beta = 1 / tau, so
+a Newton iteration in beta, safeguarded by bisection, finds its minimum
+over tau in [0.05, 50]. tau = 1 is always a candidate, and the two are
+compared on the floored objective, so the fit can never exceed the
+unscaled one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import PROB_FLOOR, top_confidence
+from .tensor_math import top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -38,26 +40,26 @@ def nll_objective(d: Dataset, tau: float) -> float:
 
 def fit_global_temperature(d: Dataset) -> GlobalTemp:
     """Best single temperature for a dataset under the CE objective."""
-    shifted = d.logits - d.logits.max(axis=1, keepdims=True)
-    rows = np.arange(d.n)
-    label_z = shifted[rows, d.labels]
+    # Clamped so that a row spanning more than the float64 range keeps finite logits.
+    with np.errstate(over="ignore"):
+        shifted = d.logits - d.logits.max(axis=1, keepdims=True)
+    np.maximum(shifted, -np.finfo(float).max, out=shifted)
+    label_z = shifted[np.arange(d.n), d.labels]
     buf = np.empty_like(shifted)
 
     def derivatives(beta: float) -> tuple[float, float]:
-        # d/dbeta and d2/dbeta2 of the summed CE: E_p[z] - z_y and Var_p(z)
-        # summed over the rows whose label probability is not floored.
-        # beta * z <= 0 can only overflow to -inf, whose exponential is an exact 0.
+        # Slope E_p[z] - z_y and curvature Var_p(z) of the unfloored CE, summed over rows.
+        # beta * z only overflows to -inf (weight exactly 0); where the weight is > 0,
+        # |z| < 750 / beta. The slope sum overflows to +inf only if some z_y is near -1e308.
         with np.errstate(over="ignore"):
             np.multiply(shifted, beta, out=buf)
-        np.exp(buf, out=buf)
-        total = buf.sum(axis=1)
-        live = buf[rows, d.labels] > PROB_FLOOR * total
-        # Where e^(beta z) > 0, |z| < 750 / beta, so e z^2 stays finite; elsewhere it is 0.
-        np.multiply(buf, shifted, out=buf)
-        mean_z = buf.sum(axis=1) / total
-        np.multiply(buf, shifted, out=buf)
-        var_z = buf.sum(axis=1) / total - mean_z * mean_z
-        return float(np.sum((mean_z - label_z)[live])), float(np.sum(var_z[live]))
+            np.exp(buf, out=buf)
+            total = buf.sum(axis=1)
+            np.multiply(buf, shifted, out=buf)
+            mean_z = buf.sum(axis=1) / total
+            np.multiply(buf, shifted, out=buf)
+            var_z = buf.sum(axis=1) / total - mean_z * mean_z
+            return float(np.sum(mean_z - label_z)), float(np.sum(var_z))
 
     lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO
     if derivatives(lo)[0] >= 0.0:

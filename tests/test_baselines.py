@@ -46,16 +46,28 @@ def test_fitted_temperature_scales_with_logits():
     assert abs(t2.tau - 2.0 * t1.tau) < 1e-3 * max(1.0, t1.tau)
 
 
+def one_confident_mistake():
+    """100 records z = [2, 0] labelled 0 and one z = [10, 0] labelled 1.
+    The mistake's label probability hits PROB_FLOOR for tau below about 0.36,
+    where its loss stops growing; the optimum is tau = 0.679."""
+    logits = np.array([[2.0, 0.0]] * 100 + [[10.0, 0.0]])
+    return Dataset(logits, [0] * 100 + [1], np.full((101, 1, 2), 0.5))
+
+
 @pytest.mark.parametrize("make", [
     lambda: generate(SynthConfig(n=2000, seed=8)),
     lambda: generate(SynthConfig(n_classes=100, n=1000, seed=9)),
     lambda: well_specified_dataset(n=5000, seed=2),
-], ids=["c10", "c100", "well-specified"])
-def test_fit_beats_fine_grid_around_it(make):
+    one_confident_mistake,
+], ids=["c10", "c100", "well-specified", "confident-mistake"])
+def test_fit_beats_fine_grid_around_it_and_coarse_grid_across_bracket(make):
     d = make()
     tau = fit_global_temperature(d).tau
-    grid = tau * np.linspace(0.99, 1.01, 2001)
-    assert nll_objective(d, tau) <= min(nll_objective(d, float(t)) for t in grid) + 1e-12
+    best = nll_objective(d, tau)
+    fine = tau * np.linspace(0.99, 1.01, 2001)
+    assert best <= min(nll_objective(d, float(t)) for t in fine) + 1e-12
+    coarse = np.append(np.geomspace(TAU_GRID_LO, TAU_GRID_HI, 60), 1.0)
+    assert best <= min(nll_objective(d, float(t)) for t in coarse) + 1e-12
 
 
 def test_fit_stops_at_bracket_edges():

@@ -28,13 +28,14 @@ def test_near_tie_has_one_predicted_label():
     assert feature_matrix(d, 1)[0, 0] == d.transform_probs[0, 0, view.predicted[0]]
 
 
-EXTREME = np.array([[1e307, -1e307, 0.0], [0.0, 5e306, -1e307]])
+# the last row spans more than the float64 range: its shifted logits overflow
+EXTREME = np.array([[1e307, -1e307, 0.0], [0.0, 5e306, -1e307], [1e308, -1e308, 0.0]])
 
 
 @pytest.mark.parametrize("kind", [LossKind.CA, LossKind.CE])
 def test_extreme_logits_give_finite_losses_and_gradients(kind):
-    labels = np.array([1, 1])
-    taus = np.full(2, 0.05)
+    labels = np.ones(len(EXTREME), dtype=int)
+    taus = np.full(len(EXTREME), 0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = loss_values(EXTREME, labels, taus, kind)
@@ -43,11 +44,11 @@ def test_extreme_logits_give_finite_losses_and_gradients(kind):
 
 
 def test_extreme_logits_in_global_temperature_scaling():
-    d = Dataset(EXTREME, [1, 1], np.full((2, 1, 3), 1.0 / 3.0))
+    d = Dataset(EXTREME, np.ones(len(EXTREME), dtype=int), np.full((len(EXTREME), 1, 3), 1.0 / 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         conf = apply_global(d, GlobalTemp(0.05))
         nll = nll_objective(d, 0.05)
         fitted = fit_global_temperature(d)
     assert np.all(np.isfinite(conf)) and np.isfinite(nll) and np.isfinite(fitted.tau)
-    np.testing.assert_array_equal(conf, [1.0, 1.0])
+    np.testing.assert_array_equal(conf, np.ones(len(EXTREME)))
