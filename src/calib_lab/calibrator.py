@@ -28,6 +28,18 @@ HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
 
 
+def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """Float64 copy of a weight array, named by its parameter-file key."""
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"parameter field {name!r} is not numeric") from exc
+    if arr.shape != shape:
+        raise InvalidInputError(f"parameter field {name!r} has shape {arr.shape}, "
+                                f"expected {shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class CalibratorParams:
     """Weights of the temperature network plus gather/shape metadata.
@@ -50,26 +62,15 @@ class CalibratorParams:
 
     def __post_init__(self):
         # Copy before freezing so caller-owned arrays keep their flags.
-        w1 = np.array(self.w1, dtype=np.float64)
-        b1 = np.array(self.b1, dtype=np.float64)
-        w2 = np.array(self.w2, dtype=np.float64)
-        d_in = self.n_transforms * self.k
-        if w1.shape != (HIDDEN_WIDTH, d_in):
-            raise InvalidInputError(
-                f"w1 must have shape ({HIDDEN_WIDTH}, {d_in}) for M={self.n_transforms}, "
-                f"k={self.k}, got {w1.shape}")
-        if b1.shape != (HIDDEN_WIDTH,):
-            raise InvalidInputError(f"b1 must have shape ({HIDDEN_WIDTH},), got {b1.shape}")
-        if w2.shape != (1, HIDDEN_WIDTH):
-            raise InvalidInputError(f"w2 must have shape (1, {HIDDEN_WIDTH}), got {w2.shape}")
+        w1 = _weights("W1", self.w1, (HIDDEN_WIDTH, self.n_transforms * self.k))
+        b1 = _weights("b1", self.b1, (HIDDEN_WIDTH,))
+        w2 = _weights("W2", self.w2, (1, HIDDEN_WIDTH))
         if (self.w1b is None) != (self.b1b is None):
             raise InvalidInputError("w1b and b1b must be provided together")
         w1b = b1b = None
         if self.w1b is not None:
-            w1b = np.array(self.w1b, dtype=np.float64)
-            b1b = np.array(self.b1b, dtype=np.float64)
-            if w1b.shape != (HIDDEN_WIDTH, HIDDEN_WIDTH) or b1b.shape != (HIDDEN_WIDTH,):
-                raise InvalidInputError("second hidden layer has inconsistent shapes")
+            w1b = _weights("W1b", self.w1b, (HIDDEN_WIDTH, HIDDEN_WIDTH))
+            b1b = _weights("b1b", self.b1b, (HIDDEN_WIDTH,))
         all_values = [w1, b1, w2] + ([w1b, b1b] if w1b is not None else [])
         if not all(np.all(np.isfinite(a)) for a in all_values) or not np.isfinite(self.b2):
             raise InvalidInputError("parameters contain non-finite values")

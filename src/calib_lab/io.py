@@ -14,24 +14,23 @@ import json
 import os
 import tempfile
 import warnings
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import BandRow, KSweepRow, SurfaceGrid
-from .calibrator import HIDDEN_WIDTH, CalibratorParams, TrainingTrace
+from .calibrator import CalibratorParams, TrainingTrace
 from .errors import DatasetFormatError, InvalidInputError, UnsupportedVersionError
 from .metrics import MetricsReport
-from .records import Dataset
+from .records import PROB_SUM_TOL, Dataset
 
 PARAMS_VERSION = 1
 
-# Transform rows are accepted as-is within this sum tolerance...
-_SUM_KEEP = 1e-9
-# ...renormalized silently up to here...
+# Transform rows off by more than records.PROB_SUM_TOL are renormalized:
+# silently up to _SUM_SILENT, with one warning per file up to _SUM_WARN.
 _SUM_SILENT = 1e-6
-# ...renormalized with a warning up to here, rejected beyond.
 _SUM_WARN = 1e-3
 
 METRICS_HEADER = ("method", "ece", "bs", "ks", "auroc", "accuracy", "n")
@@ -74,84 +73,79 @@ def save_dataset(path, d: Dataset) -> None:
             handle.write(json.dumps(obj) + "\n")
 
 
-def _load_transform_row(row, line_no: int, c: int, channel: int) -> np.ndarray:
-    arr = np.asarray(row, dtype=np.float64)
-    if arr.shape != (c,):
-        raise DatasetFormatError(f"transform row has length {arr.size}, expected {c}",
-                                 line=line_no, field=f"transforms[{channel}]")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DatasetFormatError("transform row entries must be finite and >= 0",
-                                 line=line_no, field=f"transforms[{channel}]")
-    delta = float(arr.sum()) - 1.0
-    gap = abs(delta)
-    if gap <= _SUM_KEEP:
-        return arr
-    if gap <= _SUM_WARN:
-        if gap > _SUM_SILENT:
-            warnings.warn(
-                f"line {line_no}: transform row {channel} sums to 1{delta:+.2e}; renormalizing")
-        return arr / arr.sum()
-    raise DatasetFormatError(f"transform row sums to 1{delta:+.2e}, beyond tolerance {_SUM_WARN}",
-                             line=line_no, field=f"transforms[{channel}]")
+def _extend(buf: array, values, length: int, line_no: int, field: str) -> None:
+    """Append a JSON list of ``length`` numbers. array.extend refuses
+    strings, objects, null, nested lists and integers beyond float range."""
+    if type(values) is list and len(values) == length:
+        try:
+            return buf.extend(values)
+        except (TypeError, OverflowError):
+            pass
+    raise DatasetFormatError(f"expected a list of {length} numbers", line=line_no, field=field)
 
 
 def load_dataset(path) -> Dataset:
-    """Parse and validate a JSONL dataset; the 1-based line numbers
-    become record IDs."""
-    logits_rows, labels, transform_rows, ids = [], [], [], []
+    """Read a JSONL dataset; the 1-based line numbers become record IDs.
+
+    Lines are checked only for their JSON shape (C and M are fixed by the
+    first record) and streamed into flat buffers. Every value check runs
+    once, in ``Dataset``; its first failure is re-raised at its line.
+    """
+    logits, transforms, labels, ids = array("d"), array("d"), array("q"), array("q")
     c = m = None
-    with open(path, "r", encoding="utf-8") as handle:
+    # A bad byte becomes a lone surrogate, which encode() rejects.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=line_no) from exc
-            if not isinstance(obj, dict):
+            except UnicodeError as exc:
+                raise DatasetFormatError("line is not valid UTF-8", line=line_no) from exc
+            except (ValueError, RecursionError) as exc:
+                raise DatasetFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})",
+                                         line=line_no) from exc
+            if type(obj) is not dict:
                 raise DatasetFormatError("line must hold a JSON object", line=line_no)
             for key in ("label", "logits", "transforms"):
                 if key not in obj:
                     raise DatasetFormatError("missing key", line=line_no, field=key)
-            try:
-                z = np.asarray(obj["logits"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DatasetFormatError("logits are not numeric", line=line_no,
-                                         field="logits") from exc
-            if z.ndim != 1 or z.size < 2:
-                raise DatasetFormatError(f"logits must be a flat list of >= 2 numbers, got "
-                                         f"shape {z.shape}", line=line_no, field="logits")
-            if not np.all(np.isfinite(z)):
-                raise DatasetFormatError("logits contain non-finite values", line=line_no,
-                                         field="logits")
+            z, label, rows = obj["logits"], obj["label"], obj["transforms"]
             if c is None:
-                c = z.size
-            elif z.size != c:
-                raise DatasetFormatError(f"logits have length {z.size}, expected {c}",
-                                         line=line_no, field="logits")
-            label = obj["label"]
-            if not isinstance(label, int) or isinstance(label, bool) or not 0 <= label < c:
-                raise DatasetFormatError(f"label must be an integer in [0, {c})",
-                                         line=line_no, field="label")
-            transforms = obj["transforms"]
-            if not isinstance(transforms, list) or len(transforms) < 1:
-                raise DatasetFormatError("transforms must be a non-empty list of rows",
+                c = max(len(z), 2) if type(z) is list else 2
+                m = max(len(rows), 1) if type(rows) is list else 1
+            _extend(logits, z, c, line_no, "logits")
+            if type(label) is not int or abs(label) >= 2 ** 63:
+                raise DatasetFormatError("label must be an integer", line=line_no, field="label")
+            if type(rows) is not list or len(rows) != m:
+                raise DatasetFormatError(f"transforms must be a list of {m} rows",
                                          line=line_no, field="transforms")
-            if m is None:
-                m = len(transforms)
-            elif len(transforms) != m:
-                raise DatasetFormatError(f"{len(transforms)} transform rows, expected {m}",
-                                         line=line_no, field="transforms")
-            rows = [_load_transform_row(row, line_no, c, ch) for ch, row in enumerate(transforms)]
-            logits_rows.append(z)
+            for ch, row in enumerate(rows):
+                _extend(transforms, row, c, line_no, f"transforms[{ch}]")
             labels.append(label)
-            transform_rows.append(np.stack(rows))
             ids.append(line_no)
-    if not logits_rows:
+    if not ids:
         raise DatasetFormatError("dataset file holds no records", line=1)
-    return Dataset(np.stack(logits_rows), np.asarray(labels), np.stack(transform_rows),
-                   record_ids=np.asarray(ids))
+    probs = np.frombuffer(transforms).reshape(-1, m, c)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = probs.sum(axis=2, keepdims=True)
+    gaps = np.abs(sums - 1.0)
+    # Rows further off than _SUM_WARN are left as they are for Dataset to reject.
+    fix = (gaps > PROB_SUM_TOL) & (gaps <= _SUM_WARN)
+    loud = fix & (gaps > _SUM_SILENT)
+    if loud.any():
+        warnings.warn(f"{np.count_nonzero(loud)} transform rows sum to 1 within {_SUM_WARN:g} but "
+                      f"not {_SUM_SILENT:g} (first at line {ids[np.argmax(loud.any(axis=(1, 2)))]});"
+                      " renormalizing", stacklevel=2)
+    np.divide(probs, sums, out=probs, where=fix)
+    try:
+        return Dataset(np.frombuffer(logits).reshape(-1, c), np.frombuffer(labels, dtype=np.int64),
+                       probs, record_ids=np.frombuffer(ids, dtype=np.int64))
+    except InvalidInputError as exc:
+        raise DatasetFormatError(exc.reason, line=ids[exc.row], field=exc.field) from exc
 
 
 def save_params(path, p: CalibratorParams) -> None:
@@ -164,17 +158,6 @@ def save_params(path, p: CalibratorParams) -> None:
     with _atomic_open(path) as handle:
         json.dump(obj, handle, indent=1)
         handle.write("\n")
-
-
-def _require_shape(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"parameter field {name!r} is not numeric") from exc
-    if arr.shape != shape:
-        raise InvalidInputError(f"parameter field {name!r} has shape {arr.shape}, "
-                                f"expected {shape}")
-    return arr
 
 
 def load_params(path) -> CalibratorParams:
@@ -200,17 +183,10 @@ def load_params(path) -> CalibratorParams:
     for name in ("b2", "tau_min"):
         if not isinstance(obj[name], (int, float)) or isinstance(obj[name], bool):
             raise InvalidInputError(f"parameter field {name!r} must be a number")
-    d_in = m * k
-    w1 = _require_shape("W1", obj["W1"], (HIDDEN_WIDTH, d_in))
-    b1 = _require_shape("b1", obj["b1"], (HIDDEN_WIDTH,))
-    w2 = _require_shape("W2", obj["W2"], (1, HIDDEN_WIDTH))
-    w1b = b1b = None
-    if "W1b" in obj or "b1b" in obj:
-        w1b = _require_shape("W1b", obj.get("W1b"), (HIDDEN_WIDTH, HIDDEN_WIDTH))
-        b1b = _require_shape("b1b", obj.get("b1b"), (HIDDEN_WIDTH,))
-    return CalibratorParams(w1=w1, b1=b1, w2=w2, b2=float(obj["b2"]),
+    # CalibratorParams checks every weight array's values and shape.
+    return CalibratorParams(w1=obj["W1"], b1=obj["b1"], w2=obj["W2"], b2=float(obj["b2"]),
                             tau_min=float(obj["tau_min"]), n_classes=c, n_transforms=m, k=k,
-                            w1b=w1b, b1b=b1b)
+                            w1b=obj.get("W1b"), b1b=obj.get("b1b"))
 
 
 def _fmt(value: float, raw: bool) -> str:

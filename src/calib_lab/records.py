@@ -20,7 +20,36 @@ from .tensor_math import predicted_labels, row_softmax, top_confidence
 # ground-truth to predicted-class probability exceeds this threshold.
 NARROWLY_WRONG_THRESHOLD = 0.5
 
-_PROB_SUM_TOL = 1e-9
+# Transform softmax rows must sum to 1 within this tolerance.
+PROB_SUM_TOL = 1e-9
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    arr = np.array(values)
+    # Bool and float are refused, not truncated; an empty list has no dtype to check.
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidInputError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _check_values(logits: np.ndarray, labels: np.ndarray, probs: np.ndarray) -> None:
+    """Every value check on a dataset. A failure names the first bad record
+    and, in it, the first bad field of logits, label, transforms[0..M-1]."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        deltas = probs.sum(axis=2) - 1.0
+    signed = (probs >= 0).all(axis=2)  # False for NaN too; +inf fails the sum
+    bad = np.column_stack([~np.isfinite(logits).all(axis=1),
+                           (labels < 0) | (labels >= logits.shape[1]),
+                           ~signed | ~(np.abs(deltas) <= PROB_SUM_TOL)])
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+        ch = col - 2
+        reason = ("logits contain non-finite entries" if col == 0 else
+                  f"label lies outside [0, {logits.shape[1]})" if col == 1 else
+                  "transform row entries must be finite and >= 0" if not signed[row, ch] else
+                  f"transform row sums to 1{deltas[row, ch]:+.2e}, beyond {PROB_SUM_TOL:g}")
+        raise InvalidInputError(reason, row=row,
+                                field=("logits", "label")[col] if col < 2 else f"transforms[{ch}]")
 
 
 @dataclass(frozen=True)
@@ -55,7 +84,7 @@ class Dataset:
     def __init__(self, logits: np.ndarray, labels: np.ndarray, transform_probs: np.ndarray,
                  record_ids: np.ndarray | None = None):
         logits = np.array(logits, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
+        labels = _int_array(labels, "labels")
         probs = np.array(transform_probs, dtype=np.float64)
         if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n, C) with n >= 1, C >= 2, got {logits.shape}")
@@ -65,18 +94,11 @@ class Dataset:
         if probs.ndim != 3 or probs.shape != (n, probs.shape[1], c) or probs.shape[1] < 1:
             raise InvalidInputError(
                 f"transform_probs must have shape ({n}, M, {c}) with M >= 1, got {probs.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise InvalidInputError("logits contain non-finite entries")
-        if np.any(labels < 0) or np.any(labels >= c):
-            raise InvalidInputError("labels must lie in [0, C)")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise InvalidInputError("transform probabilities must be finite and >= 0")
-        if np.any(np.abs(probs.sum(axis=2) - 1.0) > _PROB_SUM_TOL):
-            raise InvalidInputError("transform probability rows must sum to 1 within 1e-9")
+        _check_values(logits, labels, probs)
         if record_ids is None:
             record_ids = np.arange(n, dtype=np.int64)
         else:
-            record_ids = np.array(record_ids, dtype=np.int64)
+            record_ids = _int_array(record_ids, "record_ids")
             if record_ids.shape != (n,):
                 raise InvalidInputError("record_ids must match the number of records")
         for arr in (logits, labels, probs, record_ids):
@@ -91,16 +113,11 @@ class Dataset:
         records = list(records)
         if not records:
             raise InvalidInputError("dataset must contain at least one record")
-        c = records[0].n_classes
-        m = records[0].n_transforms
         for i, r in enumerate(records):
-            if r.n_classes != c or r.n_transforms != m:
+            if (r.n_classes, r.n_transforms) != (records[0].n_classes, records[0].n_transforms):
                 raise InvalidInputError(f"record {i} has inconsistent C or M")
-        return cls(
-            np.stack([r.logits for r in records]),
-            np.array([r.label for r in records]),
-            np.stack([r.transform_probs for r in records]),
-        )
+        return cls(np.stack([r.logits for r in records]), np.array([r.label for r in records]),
+                   np.stack([r.transform_probs for r in records]))
 
     @property
     def n(self) -> int:
@@ -122,7 +139,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """Selection-only subset; record contents are preserved bit-exactly."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = _int_array(indices, "subset indices")
         if indices.size == 0:
             raise InvalidInputError("subset must keep at least one record")
         return Dataset(self.logits[indices], self.labels[indices],

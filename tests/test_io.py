@@ -1,17 +1,22 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_lab.analysis import loss_surface
 from calib_lab.calibrator import TrainConfig, calibrate_dataset, forward, init_params, train
+from calib_lab.cli import run
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import (DatasetFormatError, InvalidInputError, UnsupportedVersionError)
 from calib_lab.io import (export_metrics_csv, export_surface_csv, load_dataset, load_params,
                           save_dataset, save_params)
 from calib_lab.losses import LossKind
 from calib_lab.metrics import report
+from calib_lab.records import Dataset
 
 
 def test_dataset_round_trip_is_bit_exact(tmp_path):
@@ -223,3 +228,123 @@ def test_apply_then_eval_consistency(tmp_path):
     _, before = calibrate_dataset(params, d)
     _, after = calibrate_dataset(load_params(path), d)
     assert before.tobytes() == after.tobytes()
+
+
+def record_line(**fields):
+    obj = {"label": 0, "logits": [1.0, 0.0, 0.0],
+           "transforms": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def write_with_bad_second_line(path, bad: bytes):
+    path.write_bytes(record_line().encode() + b"\n" + bad + b"\n" + record_line().encode() + b"\n")
+
+
+# One bad line per failure kind, with the field the per-row loader
+# reported for it before the value checks moved into Dataset.
+BAD_LINES = [
+    ("invalid_json", "{not json", None),
+    ("not_object", "[1, 2]", None),
+    ("missing_key", json.dumps({"logits": [1.0, 0.0, 0.0], "transforms": [[0.5, 0.3, 0.2]] * 2}),
+     "label"),
+    ("non_numeric_logit", record_line(logits=["a", 0, 0]), "logits"),
+    ("nested_logits", record_line(logits=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), "logits"),
+    ("c_mismatch", record_line(logits=[1.0, 0.0, 0.0, 0.0]), "logits"),
+    ("non_finite_logit", record_line(logits=[float("nan"), 0.0, 0.0]), "logits"),
+    ("label_out_of_range", record_line(label=3), "label"),
+    ("bool_label", record_line(label=True), "label"),
+    ("float_label", record_line(label=1.0), "label"),
+    ("transforms_not_list", record_line(transforms=5), "transforms"),
+    ("m_mismatch", record_line(transforms=[[0.5, 0.3, 0.2]] * 3), "transforms"),
+    ("row_wrong_length", record_line(transforms=[[0.5, 0.3, 0.2], [0.5, 0.5]]), "transforms[1]"),
+    ("negative_entry", record_line(transforms=[[0.5, 0.3, 0.2], [1.2, -0.2, 0.0]]),
+     "transforms[1]"),
+    ("sum_beyond_tolerance", record_line(transforms=[[0.5, 0.3, 0.2], [0.5, 0.3, 0.3]]),
+     "transforms[1]"),
+]
+
+
+@pytest.mark.parametrize("bad,field", [case[1:] for case in BAD_LINES],
+                         ids=[case[0] for case in BAD_LINES])
+def test_loader_names_line_and_field_per_failure_kind(tmp_path, bad, field):
+    path = tmp_path / "bad.jsonl"
+    write_with_bad_second_line(path, bad.encode())
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 2
+    assert excinfo.value.field == field
+
+
+# Lines that once escaped as a bare TypeError, OverflowError, ValueError,
+# UnicodeDecodeError or RecursionError, or loaded strings as numbers.
+UNTYPED_LINES = [
+    ("object_row", record_line(transforms=[[0.5, 0.3, 0.2], {"a": 1}]).encode(), "transforms[1]"),
+    ("huge_int_logit", record_line(logits=[10 ** 400, 0, 0]).encode(), "logits"),
+    ("string_row", record_line(transforms=[[0.5, 0.3, 0.2], "abc"]).encode(), "transforms[1]"),
+    ("non_utf8", b'{"note": "\xff", ' + record_line().encode()[1:], None),
+    ("huge_int_label", record_line(label=10 ** 400).encode(), "label"),
+    ("string_logit", record_line(logits=["1.5", 0, 0]).encode(), "logits"),
+    ("string_transform", record_line(transforms=[[0.5, 0.3, 0.2], ["0.5", 0.3, 0.2]]).encode(),
+     "transforms[1]"),
+    ("deep_nesting", b"[" * 100000, None),
+    ("over_digit_limit", record_line().replace("[1.0", "[" + "9" * 5000).encode(), None),
+]
+
+
+@pytest.mark.parametrize("bad,field", [case[1:] for case in UNTYPED_LINES],
+                         ids=[case[0] for case in UNTYPED_LINES])
+def test_loader_types_every_malformed_line(tmp_path, capsys, bad, field):
+    path = tmp_path / "bad.jsonl"
+    write_with_bad_second_line(path, bad)
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 2
+    assert excinfo.value.field == field
+    assert run(["eval", "--data", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [3, 10, 100])
+def test_loader_renormalizes_mixed_gaps_with_one_warning(tmp_path, c):
+    rng = np.random.default_rng(c)
+    gaps = [0.0, 5e-10, -5e-10, 5e-7, -5e-7, 5e-4, -5e-4] * 3
+    rows, lines = [], []
+    for i, gap in enumerate(gaps):
+        pair = rng.dirichlet(np.ones(c), size=2)
+        pair[i % 2, np.argmax(pair[i % 2])] += gap
+        rows.append(pair)
+        lines.append(json.dumps({"label": 0, "logits": [0.0] * c, "transforms": pair.tolist()}))
+    path = tmp_path / "mixed.jsonl"
+    write_lines(path, lines)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d = load_dataset(path)
+    expected = np.stack([[r if abs(r.sum() - 1.0) <= 1e-9 else r / r.sum() for r in pair]
+                         for pair in rows])
+    assert d.transform_probs.tobytes() == expected.tobytes()
+    assert [w.category for w in caught] == [UserWarning]
+    assert "6 transform rows" in str(caught[0].message)
+    assert "first at line 6" in str(caught[0].message)
+
+
+FUZZ_BASE = "".join(record_line(label=i) + "\n" for i in range(3)).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, len(FUZZ_BASE) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_loader_on_corrupted_bytes_returns_dataset_or_format_error(tmp_path_factory, edits):
+    data = bytearray(FUZZ_BASE)
+    for insert, pos, byte in edits:
+        if insert:
+            data.insert(pos, byte)
+        else:
+            data[pos] = byte
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_bytes(bytes(data))
+    try:
+        d = load_dataset(path)
+    except DatasetFormatError:
+        return
+    assert isinstance(d, Dataset)

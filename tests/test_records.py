@@ -120,3 +120,42 @@ def test_dataset_subset_preserves_contents():
     sub = d.subset([3, 7, 11])
     np.testing.assert_array_equal(sub.logits[1], d.logits[7])
     np.testing.assert_array_equal(sub.record_ids, [3, 7, 11])
+
+
+@pytest.mark.parametrize("labels,record_ids", [([1.5], None), ([True], None), ([1], [1.7]),
+                                               ([1], [True])])
+def test_dataset_refuses_non_integer_labels_and_ids(labels, record_ids):
+    with pytest.raises(InvalidInputError):
+        Dataset([[1.0, 0.0]], labels, [[[0.5, 0.5]]], record_ids=record_ids)
+
+
+@pytest.mark.parametrize("indices", [np.array([False, True, True]), [0.9], np.array([1.0])])
+def test_subset_refuses_non_integer_indices(indices):
+    d = Dataset(np.zeros((3, 2)), [0, 1, 0], np.full((3, 1, 2), 0.5))
+    with pytest.raises(InvalidInputError):
+        d.subset(indices)
+
+
+def _corrupt(what):
+    logits, labels = np.zeros((4, 3)), np.array([0, 1, 2, 0])
+    probs = np.full((4, 2, 3), 1.0 / 3.0)
+    if "logit" in what:
+        logits[2, 1] = np.inf
+    if "label" in what:
+        labels[2] = 3
+    if "sign" in what:
+        probs[3, 1] = [1.2, -0.2, 0.0]
+    if "sum" in what:
+        probs[1, 0, 0] += 1e-6
+    return logits, labels, probs
+
+
+@pytest.mark.parametrize("what,row,field", [
+    (("logit",), 2, "logits"), (("label",), 2, "label"), (("sign",), 3, "transforms[1]"),
+    (("sum",), 1, "transforms[0]"), (("label", "logit"), 2, "logits"),
+    (("logit", "sum"), 1, "transforms[0]"),
+])
+def test_dataset_names_first_bad_row_and_field(what, row, field):
+    with pytest.raises(InvalidInputError) as excinfo:
+        Dataset(*_corrupt(what))
+    assert (excinfo.value.row, excinfo.value.field) == (row, field)
