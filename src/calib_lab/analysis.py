@@ -102,8 +102,8 @@ def _band_metrics(d: Dataset, confidences, method: str,
 
 
 def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainConfig,
-                         bands=DEFAULT_BANDS, count: int = 500, vary: str = "test",
-                         train_wrong: int = 1000, train_correct: int = 1000,
+                         bands=DEFAULT_BANDS, count: int = 50, vary: str = "test",
+                         train_wrong: int = 200, train_correct: int = 1000,
                          bins: int = metrics.DEFAULT_BINS) -> list[BandRow]:
     """Per-band comparison of no calibration vs. CE- and CA-trained
     calibrators.

@@ -15,12 +15,12 @@ for a fixed (seed, config, dataset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
-from .losses import DiscrepancyMode, LossKind, dloss_dtau_batch, loss_values
+from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset, SampleRecord
 from .tensor_math import row_softmax, sigmoid, softplus, top_confidence, top_k_indices
 
@@ -29,11 +29,16 @@ DEFAULT_TAU_MIN = 0.05
 
 
 def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """Float64 copy of a weight array, named by its parameter-file key."""
+    """Float64 copy of a weight array, named by its parameter-file key.
+    Only integers and floats are numbers here: strings, bools and
+    objects are refused, not coerced."""
     try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
         raise InvalidInputError(f"parameter field {name!r} is not numeric") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"parameter field {name!r} is not numeric")
+    arr = np.array(arr, dtype=np.float64)
     if arr.shape != shape:
         raise InvalidInputError(f"parameter field {name!r} has shape {arr.shape}, "
                                 f"expected {shape}")
@@ -231,7 +236,8 @@ def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.n
 
 def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                kind: LossKind, mode: DiscrepancyMode) -> float:
-    """Mean configured loss of the calibrator on a batch of arrays."""
+    """Mean configured loss of the calibrator on a batch; ``Z`` may be a
+    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``."""
     taus = forward_batch(p, F)
     return float(np.mean(loss_values(Z, labels, taus, kind, mode)))
 
@@ -242,10 +248,9 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
     """Exact gradient of the mean batch loss with respect to every
     parameter: d(loss)/d(tau) chained through softplus, the linear
     layers, and ReLU (derivative at 0 taken as 0). The batch gradient is
-    the mean of per-sample gradients."""
+    the mean of per-sample gradients. ``Z`` may be a
+    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``."""
     F = np.asarray(F, dtype=np.float64)
-    Z = np.asarray(Z, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if F.shape[0] == 0:
         raise DomainError("batch must be non-empty")
     n = F.shape[0]
@@ -312,6 +317,38 @@ def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k
         tau_min=tau_min, n_classes=n_classes, n_transforms=n_transforms, k=k)
 
 
+class _FlatParams:
+    """The weights of a CalibratorParams in one float64 vector ``theta``.
+
+    ``w1``, ``b1``, ``w2``, ``b2`` (and ``w1b``, ``b1b``) are views of
+    ``theta`` with the shapes of the CalibratorParams fields, so
+    :func:`grad_params` and :func:`batch_loss` read it like a
+    CalibratorParams while the optimiser updates ``theta`` in place.
+    """
+
+    def __init__(self, p: CalibratorParams):
+        self.template = p
+        self.tau_min = p.tau_min
+        self.input_width = p.input_width
+        self.names = ("w1", "b1", "w2", "b2") + (("w1b", "b1b") if p.w1b is not None else ())
+        self.theta = np.concatenate([np.ravel(getattr(p, name)) for name in self.names])
+        self.w1b = self.b1b = None
+        start = 0
+        for name in self.names:
+            shape = np.shape(getattr(p, name))
+            size = int(np.prod(shape))
+            setattr(self, name, self.theta[start:start + size].reshape(shape))
+            start += size
+
+    def params(self) -> CalibratorParams:
+        """A frozen, validated copy of the current weights."""
+        return replace(self.template, **{name: getattr(self, name) for name in self.names})
+
+    def flat(self, g: ParamGradients) -> np.ndarray:
+        """Gradients laid out like ``theta``."""
+        return np.concatenate([np.ravel(getattr(g, name)) for name in self.names])
+
+
 def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTrace]:
     """Adam-train the calibrator on a dataset.
 
@@ -322,34 +359,23 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
     """
     config.validate(d.n_classes)
     F = feature_matrix(d, config.k)
-    Z = d.logits
-    labels = d.labels
+    data = LogitBatch.prepare(d.logits, d.labels)
     n = d.n
 
-    params = init_params(d.n_classes, d.n_transforms, config.k, tau_min=config.tau_min,
-                         seed=config.seed, two_hidden=config.two_hidden)
-    # Mutable copies for the update loop; re-frozen on return.
-    values = {"w1": params.w1.copy(), "b1": params.b1.copy(),
-              "w2": params.w2.copy(), "b2": np.array(params.b2)}
-    if config.two_hidden:
-        values["w1b"] = params.w1b.copy()
-        values["b1b"] = params.b1b.copy()
-    adam_m = {k_: np.zeros_like(v) for k_, v in values.items()}
-    adam_v = {k_: np.zeros_like(v) for k_, v in values.items()}
+    net = _FlatParams(init_params(d.n_classes, d.n_transforms, config.k,
+                                  tau_min=config.tau_min, seed=config.seed,
+                                  two_hidden=config.two_hidden))
+    theta = net.theta
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    update = np.empty_like(theta)
+    denom = np.empty_like(theta)
     step = 0
     rng = np.random.default_rng(config.seed + 1)
 
-    def current_params() -> CalibratorParams:
-        return CalibratorParams(
-            w1=values["w1"].copy(), b1=values["b1"].copy(), w2=values["w2"].copy(),
-            b2=float(values["b2"]), tau_min=config.tau_min, n_classes=d.n_classes,
-            n_transforms=d.n_transforms, k=config.k,
-            w1b=values["w1b"].copy() if config.two_hidden else None,
-            b1b=values["b1b"].copy() if config.two_hidden else None)
-
     def full_loss(epoch: int) -> float:
         try:
-            value = batch_loss(current_params(), F, Z, labels, config.loss, config.mode)
+            value = batch_loss(net, F, data, None, config.loss, config.mode)
         except (DomainError, InvalidInputError) as exc:
             raise TrainingDivergedError(epoch, f"diverged at epoch {epoch}: {exc}") from exc
         if not np.isfinite(value):
@@ -360,30 +386,37 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
+        F_epoch, data_epoch = F[order], data.take(order)
         for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = slice(start, start + config.batch_size)
             try:
-                grads = grad_params(current_params(), F[batch], Z[batch], labels[batch],
+                grads = grad_params(net, F_epoch[batch], data_epoch.take(batch), None,
                                     config.loss, config.mode)
             except (DomainError, InvalidInputError) as exc:
                 # Inputs were validated up front, so a non-finite temperature
                 # or parameter mid-run means the optimization blew up.
                 raise TrainingDivergedError(epoch, f"diverged at epoch {epoch}: {exc}") from exc
-            grad_values = {"w1": grads.w1, "b1": grads.b1, "w2": grads.w2,
-                           "b2": np.array(grads.b2)}
-            if config.two_hidden:
-                grad_values["w1b"] = grads.w1b
-                grad_values["b1b"] = grads.b1b
+            g = net.flat(grads)
             step += 1
             bias1 = 1.0 - config.beta1 ** step
             bias2 = 1.0 - config.beta2 ** step
-            for name, g in grad_values.items():
-                adam_m[name] = config.beta1 * adam_m[name] + (1.0 - config.beta1) * g
-                adam_v[name] = config.beta2 * adam_v[name] + (1.0 - config.beta2) * g * g
-                update = (adam_m[name] / bias1) / (np.sqrt(adam_v[name] / bias2) + config.adam_eps)
-                values[name] = values[name] - config.learning_rate * update
-            if not all(np.all(np.isfinite(v)) for v in values.values()):
+            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # theta -= lr * (m/bias1) / (sqrt(v/bias2) + eps), each rounded as written.
+            adam_m *= config.beta1
+            adam_m += (1.0 - config.beta1) * g
+            adam_v *= config.beta2
+            adam_v += (1.0 - config.beta2) * g * g
+            np.divide(adam_v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.adam_eps
+            np.divide(adam_m, bias1, out=update)
+            update /= denom
+            update *= config.learning_rate
+            theta -= update
+            if not np.all(np.isfinite(theta)):
                 raise TrainingDivergedError(epoch)
+        # Free this epoch's copies before the full-set loss and the next gather.
+        del F_epoch, data_epoch
         trace.append(full_loss(epoch))
 
-    return current_params(), TrainingTrace(np.asarray(trace, dtype=np.float64))
+    return net.params(), TrainingTrace(np.asarray(trace, dtype=np.float64))

@@ -195,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--bands", default="0.8:1.0,0.6:0.8,0.4:0.6,0.2:0.4,0.0:0.2")
-    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--count", type=int, default=50)
     p.add_argument("--vary", choices=["test", "train"], default="test")
-    p.add_argument("--train-wrong", type=int, default=1000)
+    p.add_argument("--train-wrong", type=int, default=200)
     p.add_argument("--train-correct", type=int, default=1000)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_wrongness)

@@ -73,10 +73,13 @@ def save_dataset(path, d: Dataset) -> None:
             handle.write(json.dumps(obj) + "\n")
 
 
-def _extend(buf: array, values, length: int, line_no: int, field: str) -> None:
+def _extend(buf: array, values, length: int, line_no: int, field: str, bools: bool) -> None:
     """Append a JSON list of ``length`` numbers. array.extend refuses
-    strings, objects, null, nested lists and integers beyond float range."""
-    if type(values) is list and len(values) == length:
+    strings, objects, null, nested lists and integers beyond float range;
+    it would take true/false as 1/0, so on a line that may hold them
+    (``bools``) every entry's type is checked first."""
+    if type(values) is list and len(values) == length and not (
+            bools and any(type(v) is bool for v in values)):
         try:
             return buf.extend(values)
         except (TypeError, OverflowError):
@@ -114,17 +117,18 @@ def load_dataset(path) -> Dataset:
                 if key not in obj:
                     raise DatasetFormatError("missing key", line=line_no, field=key)
             z, label, rows = obj["logits"], obj["label"], obj["transforms"]
+            bools = "true" in line or "false" in line
             if c is None:
                 c = max(len(z), 2) if type(z) is list else 2
                 m = max(len(rows), 1) if type(rows) is list else 1
-            _extend(logits, z, c, line_no, "logits")
+            _extend(logits, z, c, line_no, "logits", bools)
             if type(label) is not int or abs(label) >= 2 ** 63:
                 raise DatasetFormatError("label must be an integer", line=line_no, field="label")
             if type(rows) is not list or len(rows) != m:
                 raise DatasetFormatError(f"transforms must be a list of {m} rows",
                                          line=line_no, field="transforms")
             for ch, row in enumerate(rows):
-                _extend(transforms, row, c, line_no, f"transforms[{ch}]")
+                _extend(transforms, row, c, line_no, f"transforms[{ch}]", bools)
             labels.append(label)
             ids.append(line_no)
     if not ids:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import PROB_FLOOR, predicted_labels, row_softmax
+from .tensor_math import (PROB_FLOOR, check_logits, predicted_labels, shift_rows,
+                          softmax_shifted, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -180,25 +181,70 @@ def mse_loss(p, label: int) -> float:
     return float(mse_rows(*_one_row(p, label))[0])
 
 
-def _tempered(Z, labels, taus):
-    """Shared prologue of the batched losses: float logits, integer
-    labels, softmax(z_i / tau_i) and the row index."""
-    Z = np.asarray(Z, dtype=np.float64)
-    return Z, np.asarray(labels, dtype=np.int64), row_softmax(Z, taus), np.arange(Z.shape[0])
+class LogitBatch:
+    """The temperature-free part of the batched losses, computed once:
+    float logits ``Z``, integer ``labels``, the row-max shifted logits
+    ``S = Z - max``, the row index ``rows`` and, on first use, the
+    ``predicted`` labels.
+
+    Build one with :meth:`prepare`; :meth:`take` selects rows without
+    repeating any of that work, so a trainer prepares its data once and
+    only ``exp(S / tau)`` and its normalisation run per step.
+    """
+
+    def __init__(self, Z, labels, S, rows, predicted=None):
+        self.Z, self.labels, self.S, self.rows = Z, labels, S, rows
+        self._predicted = predicted
+
+    @classmethod
+    def prepare(cls, Z, labels) -> "LogitBatch":
+        """Check an (n, C) logit matrix and derive everything but the softmax."""
+        Z = check_logits(Z)
+        return cls(Z, np.asarray(labels, dtype=np.int64), shift_rows(Z), np.arange(Z.shape[0]))
+
+    @property
+    def predicted(self) -> np.ndarray:
+        # Only the CA loss reads it, so it is computed when first asked for.
+        if self._predicted is None:
+            self._predicted = predicted_labels(self.Z)
+        return self._predicted
+
+    def take(self, idx) -> "LogitBatch":
+        """The rows at ``idx`` (an index array or a slice)."""
+        Z = self.Z[idx]
+        return LogitBatch(Z, self.labels[idx], self.S[idx], np.arange(Z.shape[0]),
+                          self.predicted[idx])
+
+    def softmax(self, taus, out=None) -> np.ndarray:
+        """softmax(z_i / tau_i) of every row, as ``row_softmax(Z, taus)``
+        gives it; ``out=self.S`` overwrites the shifted logits."""
+        return softmax_shifted(self.S, tau_column(taus, self.Z.shape[0]), out=out)
+
+
+def _tempered(Z, labels, taus) -> tuple[LogitBatch, np.ndarray]:
+    """The prepared batch and softmax(z_i / tau_i) of its rows. A
+    LogitBatch carries its own labels. An array input is prepared here,
+    and the softmax overwrites its shifted logits, which nothing else reads."""
+    if isinstance(Z, LogitBatch):
+        if labels is not None:
+            raise InvalidInputError("a LogitBatch carries its own labels; pass labels=None")
+        return Z, Z.softmax(taus)
+    b = LogitBatch.prepare(Z, labels)
+    return b, b.softmax(taus, out=b.S)
 
 
 def loss_values(Z, labels, taus, kind: LossKind,
                 mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
     """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
-    ``taus`` is a scalar or one temperature per row."""
-    Z, labels, P, idx = _tempered(Z, labels, taus)
+    ``taus`` is a scalar or one temperature per row. ``Z`` is a logit
+    matrix, or a :class:`LogitBatch` with ``labels=None``."""
+    b, P = _tempered(Z, labels, taus)
     if kind is LossKind.CE:
-        return ce_rows(P, labels)
+        return ce_rows(P, b.labels)
     if kind is LossKind.MSE:
-        return mse_rows(P, labels)
+        return mse_rows(P, b.labels)
     # CA: compare the top score against correctness of the tau-invariant prediction.
-    predicted = predicted_labels(Z)
-    return _discrepancy(P[idx, predicted] - (predicted == labels), mode)
+    return _discrepancy(P[b.rows, b.predicted] - (b.predicted == b.labels), mode)
 
 
 def loss_at_tau(z, label: int, tau: float, kind: LossKind,
@@ -215,9 +261,11 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     With p = softmax(z / tau) the chain rule gives
     dp_c/dtau = -(p_c / tau^2) * (z_c - sum_j p_j z_j), which is folded
     into each loss; the cross-entropy derivative is zero in the floored
-    region.
+    region. ``Z`` is a logit matrix, or a :class:`LogitBatch` with
+    ``labels=None``.
     """
-    Z, labels, P, idx = _tempered(Z, labels, taus)
+    b, P = _tempered(Z, labels, taus)
+    Z, labels, idx = b.Z, b.labels, b.rows
     zbar = np.sum(P * Z, axis=1)
     taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus
@@ -231,7 +279,7 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
         residual = _one_hot_residual(P, labels)
         dP = -(P / tau_sq[..., None]) * (Z - zbar[:, None])
         return np.sum(2.0 * residual * dP, axis=1)
-    predicted = predicted_labels(Z)
+    predicted = b.predicted
     c_hat = P[idx, predicted]
     dc_dtau = -(c_hat / tau_sq) * (Z[idx, predicted] - zbar)
     indicator = (predicted == labels).astype(np.float64)

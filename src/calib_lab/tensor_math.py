@@ -1,9 +1,11 @@
 """Numerically stable primitives used by every other module.
 
 ``row_softmax`` is the one softmax: it works on (n, C) logit matrices at
-an optional temperature (a scalar or one per row); ``softmax`` and
-``max_confidence`` are its one-row views and ``scale_logits`` shares its
-temperature check.
+an optional temperature (a scalar or one per row). It checks the logits,
+subtracts the row max (``shift_rows``) and hands the result to
+``softmax_shifted``, the one softmax core, which callers holding
+already-shifted logits use directly. ``softmax`` and ``max_confidence``
+are its one-row views and ``scale_logits`` shares its temperature check.
 ``predicted_labels`` is the one definition of the predicted class
 (argmax of the logits, which no temperature can move). Probabilities
 destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
@@ -35,6 +37,49 @@ def _check_taus(taus) -> np.ndarray:
     return taus
 
 
+def check_logits(Z) -> np.ndarray:
+    """An (n, C) logit matrix as float64, checked to hold only finite entries."""
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2:
+        raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise InvalidInputError("logit matrix contains non-finite entries")
+    return Z
+
+
+def shift_rows(Z: np.ndarray) -> np.ndarray:
+    """Z minus its row max, a new array whose entries are all <= 0."""
+    # An overflow here can only produce -inf, whose exponential is an exact 0.
+    with np.errstate(over="ignore"):
+        return Z - Z.max(axis=1, keepdims=True)
+
+
+def tau_column(taus, n: int) -> np.ndarray:
+    """Checked temperatures shaped to divide n rows: a scalar stays a
+    scalar, n temperatures become an (n, 1) column."""
+    taus = _check_taus(taus)
+    if taus.ndim == 1 and taus.shape[0] == n:
+        return taus[:, None]
+    if taus.ndim != 0:
+        raise InvalidInputError(f"expected a scalar or {n} temperatures, got shape {taus.shape}")
+    return taus
+
+
+def softmax_shifted(S: np.ndarray, taus=None, out=None) -> np.ndarray:
+    """The softmax core: exp(S / tau) normalised per row, for row-max
+    shifted logits S and temperatures from :func:`tau_column` (None for
+    tau = 1). The result goes to ``out``, which may be S itself, or to a
+    new array."""
+    if taus is not None:
+        # S <= 0, so the quotient can only overflow to -inf, whose exponential is 0.
+        with np.errstate(over="ignore"):
+            S = np.divide(S, taus, out=out)
+        out = S
+    E = np.exp(S, out=out)
+    E /= E.sum(axis=1, keepdims=True)
+    return E
+
+
 def row_softmax(Z, taus=None) -> np.ndarray:
     """softmax(z / tau) of each row of an (n, C) matrix; ``taus`` is
     None (tau = 1), a scalar, or one temperature per row.
@@ -42,27 +87,11 @@ def row_softmax(Z, taus=None) -> np.ndarray:
     The row max is subtracted before dividing, so large but finite
     logits cannot overflow at any temperature.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInputError("logit matrix contains non-finite entries")
+    Z = check_logits(Z)
     if taus is not None:
-        taus = _check_taus(taus)
-        if taus.ndim == 1 and taus.shape[0] == Z.shape[0]:
-            taus = taus[:, None]
-        elif taus.ndim != 0:
-            raise InvalidInputError(f"expected a scalar or {Z.shape[0]} temperatures, "
-                                    f"got shape {taus.shape}")
-    # The shifted entries are <= 0, so an overflow can only produce -inf,
-    # whose exponential is an exact 0.
-    with np.errstate(over="ignore"):
-        shifted = Z - Z.max(axis=1, keepdims=True)
-        if taus is not None:
-            shifted /= taus
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+        taus = tau_column(taus, Z.shape[0])
+    S = shift_rows(Z)
+    return softmax_shifted(S, taus, out=S)
 
 
 def predicted_labels(Z) -> np.ndarray:

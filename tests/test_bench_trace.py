@@ -1,0 +1,44 @@
+"""The benchmark's traced run (``bench/run.py --trace 1``) hooks the
+trainer from outside and fails its self-check when a span it expects
+never fires. These tests load its tracer and workload list as they are
+and run a small training under the hooks."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from calib_lab import calibrator
+from calib_lab.datagen import SynthConfig, generate
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """bench/tracer.py and bench/workloads.py, imported without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    loaded = {}
+    for name in ("tracer", "workloads"):  # workloads imports tracer by name
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        loaded[name] = module
+    return loaded["tracer"], loaded["workloads"]
+
+
+def test_traced_train_fires_every_train_span(bench_modules):
+    tracing, workloads = bench_modules
+    d = generate(SynthConfig(n=200, seed=0))
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        calibrator.train(d, calibrator.TrainConfig(epochs=2, seed=0))
+    stats = tracer.pass_stats(None)
+    for name in workloads._TRAIN_SPANS:
+        assert stats.get(name, {}).get("calls", 0) > 0, f"{name} never fired"
+    assert stats["calibrator.train"]["calls"] == 1
+    # one CalibratorParams at init and one on return, none per step
+    assert stats["calibrator.params_built"]["calls"] == 2
+    assert stats["calibrator.grad_params"]["calls"] == 2

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,58 @@ def test_training_is_bit_reproducible():
     assert p1.w2.tobytes() == p2.w2.tobytes()
     assert p1.b2 == p2.b2
     assert t1.losses.tobytes() == t2.losses.tobytes()
+
+
+def reference_train(d, config):
+    """Per-step trainer: a validated CalibratorParams per minibatch and
+    Adam over a dict of arrays, in the operation order train keeps."""
+    F, Z, labels = feature_matrix(d, config.k), d.logits, d.labels
+    p = init_params(d.n_classes, d.n_transforms, config.k, tau_min=config.tau_min,
+                    seed=config.seed, two_hidden=config.two_hidden)
+    names = ["w1", "b1", "w2", "b2"] + (["w1b", "b1b"] if config.two_hidden else [])
+    values = {name: np.array(getattr(p, name)) for name in names}
+    adam_m = {name: np.zeros_like(v) for name, v in values.items()}
+    adam_v = {name: np.zeros_like(v) for name, v in values.items()}
+    rng = np.random.default_rng(config.seed + 1)
+
+    def current():
+        return replace(p, **{name: values[name].copy() for name in names})
+
+    losses = [batch_loss(current(), F, Z, labels, config.loss, config.mode)]
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(d.n)
+        for start in range(0, d.n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            grads = grad_params(current(), F[batch], Z[batch], labels[batch],
+                                config.loss, config.mode)
+            step += 1
+            bias1, bias2 = 1.0 - config.beta1 ** step, 1.0 - config.beta2 ** step
+            for name in names:
+                g = np.array(getattr(grads, name))
+                adam_m[name] = config.beta1 * adam_m[name] + (1.0 - config.beta1) * g
+                adam_v[name] = config.beta2 * adam_v[name] + (1.0 - config.beta2) * g * g
+                update = (adam_m[name] / bias1) / (np.sqrt(adam_v[name] / bias2) + config.adam_eps)
+                values[name] = values[name] - config.learning_rate * update
+        losses.append(batch_loss(current(), F, Z, labels, config.loss, config.mode))
+    return current(), np.array(losses)
+
+
+@pytest.mark.parametrize("n_classes", [10, 100])
+@pytest.mark.parametrize("two_hidden", [False, True])
+@pytest.mark.parametrize("mode", [L1, SQ])
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_training_is_byte_identical_to_the_per_step_reference(loss, mode, two_hidden, n_classes):
+    d = generate(SynthConfig(n=300, n_classes=n_classes, seed=n_classes))
+    cfg = TrainConfig(loss=loss, mode=mode, two_hidden=two_hidden, epochs=3, batch_size=64,
+                      seed=4)
+    params, trace = train(d, cfg)
+    expected, expected_losses = reference_train(d, cfg)
+    for name in ("w1", "b1", "w2", "w1b", "b1b"):
+        got, want = getattr(params, name), getattr(expected, name)
+        assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+    assert np.float64(params.b2).tobytes() == np.float64(expected.b2).tobytes()
+    assert trace.losses.tobytes() == expected_losses.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -117,6 +117,22 @@ def test_wrongness_subcommand(tmp_path):
     assert [r["method"] for r in rows] == ["uncal", "ce", "ca"]
 
 
+def test_readme_wrongness_line_runs_with_its_defaults(tmp_path):
+    # The README's desk data; its sparsest band, [0.8, 1.0), holds 79 wrong
+    # records of the test set and 257 of the training set.
+    train_data = synth(tmp_path, "train.jsonl", n=20000, seed=0)
+    test_data = synth(tmp_path, "test.jsonl", n=5000, seed=1)
+    out = tmp_path / "bands.csv"
+    base = ["wrongness", "--train-data", str(train_data), "--test-data", str(test_data),
+            "--out", str(out)]
+    # The README line as written, then the training-side variant, whose
+    # --train-wrong default is what it exercises (one epoch is enough).
+    for argv in (base, base + ["--vary", "train", "--epochs", "1"]):
+        assert run(argv) == 0
+        rows = read_csv(out)
+        assert len(rows) == 15 and {r["method"] for r in rows} == {"uncal", "ce", "ca"}
+
+
 def test_ksweep_subcommand(tmp_path):
     train_data = synth(tmp_path, "tr.jsonl", n=1500, seed=1)
     test_data = synth(tmp_path, "te.jsonl", n=800, seed=2)

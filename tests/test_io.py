@@ -172,6 +172,7 @@ def test_params_shape_tamper_names_field(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("C", True), ("M", True), ("k", True), ("b2", True), ("b2", "0.5"),
     ("tau_min", True), ("tau_min", [0.05]), ("tau_min", None),
+    ("b1", ["0.0"] * 5), ("b1", [True] * 5), ("W2", [[False] * 5]), ("W1", [["0.5"]] * 5),
 ])
 def test_params_bad_field_type_names_field(tmp_path, field, value):
     path = tmp_path / "params.json"
@@ -277,7 +278,7 @@ def test_loader_names_line_and_field_per_failure_kind(tmp_path, bad, field):
 
 
 # Lines that once escaped as a bare TypeError, OverflowError, ValueError,
-# UnicodeDecodeError or RecursionError, or loaded strings as numbers.
+# UnicodeDecodeError or RecursionError, or loaded strings or bools as numbers.
 UNTYPED_LINES = [
     ("object_row", record_line(transforms=[[0.5, 0.3, 0.2], {"a": 1}]).encode(), "transforms[1]"),
     ("huge_int_logit", record_line(logits=[10 ** 400, 0, 0]).encode(), "logits"),
@@ -289,6 +290,9 @@ UNTYPED_LINES = [
      "transforms[1]"),
     ("deep_nesting", b"[" * 100000, None),
     ("over_digit_limit", record_line().replace("[1.0", "[" + "9" * 5000).encode(), None),
+    ("bool_logit", record_line(logits=[True, 0, 0]).encode(), "logits"),
+    ("bool_transform", record_line(transforms=[[0.5, 0.3, 0.2], [True, False, 0.0]]).encode(),
+     "transforms[1]"),
 ]
 
 

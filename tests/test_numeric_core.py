@@ -5,10 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_lab.baselines import GlobalTemp, apply_global, fit_global_temperature, nll_objective
 from calib_lab.calibrator import feature_matrix
-from calib_lab.losses import DiscrepancyMode, LossKind, dloss_dtau_batch, loss_values
+from calib_lab.errors import InvalidInputError
+from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch,
+                             loss_values)
 from calib_lab.records import Dataset, correctness_view, wrongness_ratios
 
 
@@ -52,3 +56,52 @@ def test_extreme_logits_in_global_temperature_scaling():
         fitted = fit_global_temperature(d)
     assert np.all(np.isfinite(conf)) and np.isfinite(nll) and np.isfinite(fitted.tau)
     np.testing.assert_array_equal(conf, np.ones(len(EXTREME)))
+
+
+# --- the prepared logit batch is the array call, bit for bit ---
+
+def assert_prepared_matches_arrays(Z, labels, taus, idx, kind, mode):
+    """loss_values and dloss_dtau_batch on a LogitBatch, whole and after
+    take(idx), equal the array calls on the same rows. Both sides run
+    under one errstate, so a non-finite value must match too."""
+    Z, labels, taus = np.asarray(Z), np.asarray(labels), np.asarray(taus)
+    b = LogitBatch.prepare(Z, labels)
+    row_taus = taus[idx] if taus.ndim else taus
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (loss_values, dloss_dtau_batch):
+            assert np.array_equal(fn(b, None, taus, kind, mode),
+                                  fn(Z, labels, taus, kind, mode), equal_nan=True)
+            assert np.array_equal(fn(b.take(idx), None, row_taus, kind, mode),
+                                  fn(Z[idx], labels[idx], row_taus, kind, mode), equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(LossKind)), st.sampled_from(list(DiscrepancyMode)), st.data())
+def test_prepared_batch_equals_array_call(kind, mode, data):
+    n, c = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 6))
+    magnitude = data.draw(st.sampled_from([1.0, 50.0, 1e300]))
+    Z = data.draw(st.lists(st.lists(st.floats(-magnitude, magnitude), min_size=c, max_size=c),
+                           min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    per_row = st.lists(st.floats(0.05, 50.0), min_size=n, max_size=n)
+    taus = data.draw(st.one_of(st.floats(0.05, 50.0), per_row))
+    idx = data.draw(st.one_of(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n).map(np.array),
+        st.integers(0, n - 1).map(lambda start: slice(start, None))))
+    assert_prepared_matches_arrays(Z, labels, taus, idx, kind, mode)
+
+
+@pytest.mark.parametrize("mode", list(DiscrepancyMode))
+@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("label", [0, 1, 2])
+def test_prepared_batch_equals_array_call_on_extreme_rows(kind, mode, label):
+    labels = np.full(len(EXTREME), label)
+    for taus in (0.05, np.array([0.05, 1.0, 30.0])):
+        for idx in (np.array([2, 0, 2]), slice(1, None)):
+            assert_prepared_matches_arrays(EXTREME, labels, taus, idx, kind, mode)
+
+
+def test_prepared_batch_refuses_a_second_set_of_labels():
+    b = LogitBatch.prepare(EXTREME, [0, 1, 2])
+    with pytest.raises(InvalidInputError, match="carries its own labels"):
+        loss_values(b, [0, 1, 2], 1.0, LossKind.CE)
