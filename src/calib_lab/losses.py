@@ -277,7 +277,10 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
         return np.where(P[idx, labels] > PROB_FLOOR, grad, 0.0)
     if kind is LossKind.MSE:
         residual = _one_hot_residual(P, labels)
-        dP = -(P / tau_sq[..., None]) * (Z - zbar[:, None])
+        # Z - zbar overflows only to -inf and only where P = 0; clamped, those terms stay 0.
+        with np.errstate(over="ignore"):
+            gap = np.maximum(Z - zbar[:, None], -np.finfo(float).max)
+        dP = -(P / tau_sq[..., None]) * gap
         return np.sum(2.0 * residual * dP, axis=1)
     predicted = b.predicted
     c_hat = P[idx, predicted]

@@ -108,8 +108,9 @@ def auroc(confidences, correct) -> float:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
-    order = np.argsort(values, kind="stable")
+    """1-based ranks with ties averaged. A tie group shares its mean rank, so
+    the order of equal values in the sort changes no rank: no stable sort."""
+    order = np.argsort(values)
     sorted_vals = values[order]
     starts = np.flatnonzero(np.append(True, sorted_vals[1:] != sorted_vals[:-1]))
     sizes = np.diff(np.append(starts, values.size))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import predicted_labels, row_softmax, top_confidence
+from .tensor_math import predicted_labels, shift_rows, softmax_shifted, top_confidence
 
 # A wrongly predicted sample counts as narrowly wrong when the ratio of
 # ground-truth to predicted-class probability exceeds this threshold.
@@ -107,6 +107,7 @@ class Dataset:
         self.labels = labels
         self.transform_probs = probs
         self.record_ids = record_ids
+        self._view = None  # built by correctness_view on first use
 
     @classmethod
     def from_records(cls, records) -> "Dataset":
@@ -170,10 +171,13 @@ class CorrectnessView:
 def correctness_view(d: Dataset) -> CorrectnessView:
     """Predicted label, correctness indicator, and uncalibrated confidence
     for every record. Only the logits and labels matter; transform
-    channels never enter."""
-    predicted = predicted_labels(d.logits)
-    return CorrectnessView(predicted.astype(np.int64), predicted == d.labels,
-                           top_confidence(d.logits))
+    channels never enter. Built on the first call and kept on the
+    dataset; both are read-only, so later calls return the same view."""
+    if d._view is None:
+        predicted = predicted_labels(d.logits)
+        d._view = CorrectnessView(predicted.astype(np.int64), predicted == d.labels,
+                                  top_confidence(d.logits))
+    return d._view
 
 
 def wrongness_ratio(r: SampleRecord) -> float:
@@ -187,9 +191,13 @@ def wrongness_ratio(r: SampleRecord) -> float:
 
 
 def wrongness_ratios(d: Dataset) -> np.ndarray:
-    """Vectorized wrongness ratios; NaN for correctly predicted records."""
-    probs = row_softmax(d.logits)
-    predicted = predicted_labels(d.logits)
-    idx = np.arange(d.n)
-    ratios = probs[idx, d.labels] / probs[idx, predicted]
-    return np.where(predicted == d.labels, np.nan, ratios)
+    """Vectorized wrongness ratios; NaN for correctly predicted records. The
+    softmax works row by row, so it runs on the wrong rows alone."""
+    view = correctness_view(d)
+    wrong = np.flatnonzero(~view.correct)
+    Z = d.logits[wrong]  # a fresh copy, so the softmax runs in place in it
+    probs = softmax_shifted(shift_rows(Z, out=Z), out=Z)
+    idx = np.arange(wrong.size)
+    ratios = np.full(d.n, np.nan)
+    ratios[wrong] = probs[idx, d.labels[wrong]] / probs[idx, view.predicted[wrong]]
+    return ratios

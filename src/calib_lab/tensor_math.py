@@ -4,8 +4,9 @@
 an optional temperature (a scalar or one per row). It checks the logits,
 subtracts the row max (``shift_rows``) and hands the result to
 ``softmax_shifted``, the one softmax core, which callers holding
-already-shifted logits use directly. ``softmax`` and ``max_confidence``
-are its one-row views and ``scale_logits`` shares its temperature check.
+already-shifted logits use directly; ``top_confidence`` reads the top
+score from its exponentials unnormalised. ``softmax`` and ``max_confidence``
+are one-row views and ``scale_logits`` shares the temperature check.
 ``predicted_labels`` is the one definition of the predicted class
 (argmax of the logits, which no temperature can move). Probabilities
 destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
@@ -47,11 +48,11 @@ def check_logits(Z) -> np.ndarray:
     return Z
 
 
-def shift_rows(Z: np.ndarray) -> np.ndarray:
-    """Z minus its row max, a new array whose entries are all <= 0."""
+def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
+    """Z minus its row max (entries <= 0), into ``out`` (may be Z) or a new array."""
     # An overflow here can only produce -inf, whose exponential is an exact 0.
     with np.errstate(over="ignore"):
-        return Z - Z.max(axis=1, keepdims=True)
+        return np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
 
 
 def tau_column(taus, n: int) -> np.ndarray:
@@ -65,19 +66,32 @@ def tau_column(taus, n: int) -> np.ndarray:
     return taus
 
 
-def softmax_shifted(S: np.ndarray, taus=None, out=None) -> np.ndarray:
-    """The softmax core: exp(S / tau) normalised per row, for row-max
-    shifted logits S and temperatures from :func:`tau_column` (None for
-    tau = 1). The result goes to ``out``, which may be S itself, or to a
-    new array."""
+def _exp_shifted(S: np.ndarray, taus, out) -> np.ndarray:
+    """exp(S / tau) for row-max shifted logits S; a row's max entry is exactly 1."""
     if taus is not None:
         # S <= 0, so the quotient can only overflow to -inf, whose exponential is 0.
         with np.errstate(over="ignore"):
             S = np.divide(S, taus, out=out)
         out = S
-    E = np.exp(S, out=out)
+    return np.exp(S, out=out)
+
+
+def softmax_shifted(S: np.ndarray, taus=None, out=None) -> np.ndarray:
+    """The softmax core: exp(S / tau) normalised per row, for row-max
+    shifted logits S and temperatures from :func:`tau_column` (None for
+    tau = 1). The result goes to ``out``, which may be S itself, or to a
+    new array."""
+    E = _exp_shifted(S, taus, out)
     E /= E.sum(axis=1, keepdims=True)
     return E
+
+
+def _checked_shift(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked logits minus their row max, and the checked temperatures."""
+    Z = check_logits(Z)
+    if taus is not None:
+        taus = tau_column(taus, Z.shape[0])
+    return shift_rows(Z), taus
 
 
 def row_softmax(Z, taus=None) -> np.ndarray:
@@ -87,10 +101,7 @@ def row_softmax(Z, taus=None) -> np.ndarray:
     The row max is subtracted before dividing, so large but finite
     logits cannot overflow at any temperature.
     """
-    Z = check_logits(Z)
-    if taus is not None:
-        taus = tau_column(taus, Z.shape[0])
-    S = shift_rows(Z)
+    S, taus = _checked_shift(Z, taus)
     return softmax_shifted(S, taus, out=S)
 
 
@@ -101,9 +112,11 @@ def predicted_labels(Z) -> np.ndarray:
 
 
 def top_confidence(Z, taus=None) -> np.ndarray:
-    """Softmax score of each row's predicted class at the given temperature(s)."""
-    P = row_softmax(Z, taus)
-    return P[np.arange(P.shape[0]), predicted_labels(Z)]
+    """Softmax score of each row's predicted class at the given temperature(s),
+    1 / sum_c exp(S_c / tau) for S = Z - row max: the predicted class has S = 0
+    and exp(0) = 1, so this is ``row_softmax(Z, taus)`` at the argmax bit for bit."""
+    S, taus = _checked_shift(Z, taus)
+    return 1.0 / _exp_shifted(S, taus, out=S).sum(axis=1)
 
 
 def softmax(z) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The benchmark's traced run (``bench/run.py --trace 1``) hooks the
-trainer from outside and fails its self-check when a span it expects
-never fires. These tests load its tracer and workload list as they are
-and run a small training under the hooks."""
+trainer and the scoring path from outside and fails its self-check when
+a span it expects never fires. These tests load its tracer and workload
+list as they are and run a small training or report under the hooks."""
 
 import importlib.util
 import sys
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from calib_lab import calibrator
+from calib_lab import calibrator, metrics
 from calib_lab.datagen import SynthConfig, generate
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -42,3 +42,14 @@ def test_traced_train_fires_every_train_span(bench_modules):
     # one CalibratorParams at init and one on return, none per step
     assert stats["calibrator.params_built"]["calls"] == 2
     assert stats["calibrator.grad_params"]["calls"] == 2
+
+
+def test_traced_scoring_fires_every_metric_span(bench_modules):
+    tracing, workloads = bench_modules
+    d = generate(SynthConfig(n=200, seed=0))
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        metrics.report(d)
+    stats = tracer.pass_stats(None)
+    for name in workloads._METRIC_SPANS + ("records.correctness_view", "metrics.report"):
+        assert stats.get(name, {}).get("calls", 0) > 0, f"{name} never fired"

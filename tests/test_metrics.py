@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,20 @@ def test_report_fields_match_standalone_ops():
     assert rep.auroc == auroc(view.confidence, view.correct)
     assert rep.accuracy == view.accuracy
     assert rep.n == 300 and rep.bins == 25
+
+
+def test_reports_sharing_a_stored_view_equal_reports_on_fresh_copies():
+    def fresh():
+        return generate(SynthConfig(n=500, seed=22))
+
+    d = fresh()
+    p = constant_temperature_params(0.7, d.n_classes, d.n_transforms, 4)
+    confidences = (None, calibrate_dataset(p, d)[1], correctness_view(d).confidence ** 2)
+    shared = [report(d, conf) for conf in confidences]
+    for rep, conf in zip(shared, confidences):
+        alone = report(fresh(), conf)
+        for field in dataclasses.fields(rep):
+            assert getattr(rep, field.name) == getattr(alone, field.name), field.name
 
 
 def test_report_regression_fixture():

@@ -14,6 +14,7 @@ from calib_lab.errors import InvalidInputError
 from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch,
                              loss_values)
 from calib_lab.records import Dataset, correctness_view, wrongness_ratios
+from calib_lab.tensor_math import row_softmax, top_confidence
 
 
 def test_near_tie_has_one_predicted_label():
@@ -36,15 +37,34 @@ def test_near_tie_has_one_predicted_label():
 EXTREME = np.array([[1e307, -1e307, 0.0], [0.0, 5e306, -1e307], [1e308, -1e308, 0.0]])
 
 
-@pytest.mark.parametrize("kind", [LossKind.CA, LossKind.CE])
+@pytest.mark.parametrize("kind", [LossKind.CA, LossKind.CE, LossKind.MSE])
 def test_extreme_logits_give_finite_losses_and_gradients(kind):
-    labels = np.ones(len(EXTREME), dtype=int)
     taus = np.full(len(EXTREME), 0.05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        values = loss_values(EXTREME, labels, taus, kind)
-        grads = dloss_dtau_batch(EXTREME, labels, taus, kind)
-    assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+    for label in range(3):
+        labels = np.full(len(EXTREME), label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = loss_values(EXTREME, labels, taus, kind)
+            grads = dloss_dtau_batch(EXTREME, labels, taus, kind)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_top_confidence_is_row_softmax_at_argmax(data):
+    extreme = data.draw(st.booleans())
+    n, c = data.draw(st.integers(1, 6)), 3 if extreme else data.draw(st.integers(2, 6))
+    magnitude = data.draw(st.sampled_from([1.0, 50.0, 1e300]))
+    # values drawn from a small set make tied maxima common
+    entry = st.one_of(st.floats(-magnitude, magnitude), st.sampled_from([-1.0, 0.0, 2.0]))
+    Z = np.array(data.draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                    min_size=n, max_size=n)))
+    if extreme:
+        Z = np.vstack([EXTREME, Z])
+    per_row = st.lists(st.floats(0.05, 50.0), min_size=len(Z), max_size=len(Z)).map(np.array)
+    taus = data.draw(st.one_of(st.none(), st.floats(0.05, 50.0), per_row))
+    expected = row_softmax(Z, taus)[np.arange(len(Z)), np.argmax(Z, axis=1)]
+    assert np.array_equal(top_confidence(Z, taus), expected)
 
 
 def test_extreme_logits_in_global_temperature_scaling():

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from calib_lab.analysis import DEFAULT_BANDS
+from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
 from calib_lab.errors import DomainError, InvalidInputError
 from calib_lab.records import (Dataset, SampleRecord, correctness_view, wrongness_ratio,
                                wrongness_ratios)
+from calib_lab.tensor_math import row_softmax
 
 
 def make_record(logits, label, m=2):
@@ -159,3 +162,71 @@ def test_dataset_names_first_bad_row_and_field(what, row, field):
     with pytest.raises(InvalidInputError) as excinfo:
         Dataset(*_corrupt(what))
     assert (excinfo.value.row, excinfo.value.field) == (row, field)
+
+
+# --- one view per dataset ---
+
+def test_view_is_built_once_per_dataset():
+    d = generate(SynthConfig(n=300, seed=30))
+    view = correctness_view(d)
+    assert correctness_view(d) is view
+    wrongness_ratios(d)
+    assert correctness_view(d) is view
+
+
+def test_stored_view_is_read_only():
+    view = correctness_view(generate(SynthConfig(n=50, seed=31)))
+    for arr in (view.predicted, view.correct, view.confidence):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
+def test_subset_gets_a_view_of_its_own_rows():
+    d = generate(SynthConfig(n=400, seed=32))
+    full = correctness_view(d)
+    rows = np.array([5, 3, 399, 0, 5])
+    sub_view = correctness_view(d.subset(rows))
+    assert sub_view is not full
+    for name in ("predicted", "correct", "confidence"):
+        assert np.array_equal(getattr(sub_view, name), getattr(full, name)[rows])
+
+
+# --- wrong-rows-only ratios equal the full-softmax formula ---
+
+def full_softmax_wrongness_ratios(d):
+    """The ratio as first written: one softmax over every row, then NaN on correct rows."""
+    probs = row_softmax(d.logits)
+    predicted = np.argmax(d.logits, axis=1)
+    idx = np.arange(d.n)
+    ratios = probs[idx, d.labels] / probs[idx, predicted]
+    return np.where(predicted == d.labels, np.nan, ratios)
+
+
+def ratio_fixtures():
+    """Generated sets at several widths, plus rows with ties and with logits
+    spanning the float64 range."""
+    for c, seed in ((2, 33), (3, 34), (10, 7), (100, 35)):
+        yield generate(SynthConfig(n_classes=c, n=3000, seed=seed))
+    ties = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1.0, -1.0, -1.0], [1e307, -1e307, 0.0],
+                     [0.0, 5e306, -1e307], [1e308, -1e308, 0.0], [1.9, 2.0, 0.1]])
+    yield Dataset(np.repeat(ties, 3, axis=0), np.tile([0, 1, 2], len(ties)),
+                  np.full((3 * len(ties), 1, 3), 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("d", list(ratio_fixtures()), ids=["C2", "C3", "C10", "C100", "ties"])
+def test_wrongness_ratios_equal_full_softmax_formula(d):
+    assert np.array_equal(wrongness_ratios(d), full_softmax_wrongness_ratios(d), equal_nan=True)
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9, 11, 43])
+def test_crafted_bands_select_the_full_softmax_rows(seed):
+    d = generate(SynthConfig(n=10000, seed=seed))
+    ratios = full_softmax_wrongness_ratios(d)
+    correct_idx = np.flatnonzero(np.argmax(d.logits, axis=1) == d.labels)
+    bands = DEFAULT_BANDS + ((0.0, 0.1), (0.0, 0.3), (0.3, 0.6), (0.2, 0.8), (0.5, 1.0), (0.0, 1.0))
+    for low, high in bands:
+        with np.errstate(invalid="ignore"):
+            in_band = np.flatnonzero((ratios >= low) & (ratios < high))
+        # every record of the band, so a band that grew or shrank fails too
+        crafted = craft_wrongness_set(d, low, high, in_band.size, n_correct=20)
+        assert np.array_equal(crafted.record_ids, np.concatenate([in_band, correct_idx[:20]]))
