@@ -95,15 +95,15 @@ def generate(cfg: SynthConfig) -> Dataset:
         logits[off_rows, predicted[off]], logits[off_rows, top[off]])
 
     agree_p = np.where(correct, cfg.p_agree_correct, cfg.p_agree_wrong)
-    transform_probs = np.empty((n, m, c))
+    transform_probs, alpha = np.empty((n, m, c)), np.ones((n, c))
     for i in range(m):
         agrees = rng.random(n) < agree_p
         channel_class = predicted.copy()
         channel_class[~agrees] = _random_other(rng, predicted[~agrees], c)
-        alpha = np.ones((n, c))
         alpha[rows, channel_class] += cfg.concentration
-        gammas = rng.standard_gamma(alpha)
-        probs = gammas / gammas.sum(axis=1, keepdims=True)
+        probs = rng.standard_gamma(alpha)
+        alpha[rows, channel_class] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
         top_p = np.argmax(probs, axis=1)
         off = top_p != channel_class
         off_rows = rows[off]
@@ -111,7 +111,7 @@ def generate(cfg: SynthConfig) -> Dataset:
             probs[off_rows, channel_class[off]], probs[off_rows, top_p[off]])
         transform_probs[:, i, :] = probs
 
-    return Dataset(logits, labels, transform_probs)
+    return Dataset(logits, labels, transform_probs, _owned=True)
 
 
 def craft_wrongness_set(d: Dataset, ratio_low: float, ratio_high: float, count: int,

@@ -79,13 +79,13 @@ class SampleRecord:
 
 class Dataset:
     """Immutable collection of records sharing class count C and
-    transform count M."""
+    transform count M. An ``_owned`` caller's fresh float64 arrays are frozen, not copied."""
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, transform_probs: np.ndarray,
-                 record_ids: np.ndarray | None = None):
-        logits = np.array(logits, dtype=np.float64)
+                 record_ids: np.ndarray | None = None, *, _owned: bool = False):
+        logits = np.array(logits, dtype=np.float64, copy=not _owned)
         labels = _int_array(labels, "labels")
-        probs = np.array(transform_probs, dtype=np.float64)
+        probs = np.array(transform_probs, dtype=np.float64, copy=not _owned)
         if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n, C) with n >= 1, C >= 2, got {logits.shape}")
         n, c = logits.shape
@@ -144,7 +144,7 @@ class Dataset:
         if indices.size == 0:
             raise InvalidInputError("subset must keep at least one record")
         return Dataset(self.logits[indices], self.labels[indices],
-                       self.transform_probs[indices], self.record_ids[indices])
+                       self.transform_probs[indices], self.record_ids[indices], _owned=True)
 
 
 @dataclass(frozen=True)

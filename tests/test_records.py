@@ -181,6 +181,21 @@ def test_stored_view_is_read_only():
             arr[0] = arr[1]
 
 
+def test_dataset_copies_caller_arrays_and_freezes_its_own():
+    logits, probs = np.zeros((3, 4)), np.full((3, 2, 4), 0.25)
+    d = Dataset(logits, [0, 1, 2], probs)
+    logits[0, 0] = probs[0, 0, 0] = 1.0  # the caller's arrays stay writable and apart
+    assert d.logits[0, 0] == 0.0 and d.transform_probs[0, 0, 0] == 0.25
+    generated = generate(SynthConfig(n=40, seed=33))
+    sub = generated.subset([2, 0])
+    assert not np.shares_memory(sub.logits, generated.logits)
+    assert not np.shares_memory(sub.transform_probs, generated.transform_probs)
+    for ds in (d, generated, sub):
+        for arr in (ds.logits, ds.labels, ds.transform_probs, ds.record_ids):
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+
+
 def test_subset_gets_a_view_of_its_own_rows():
     d = generate(SynthConfig(n=400, seed=32))
     full = correctness_view(d)
