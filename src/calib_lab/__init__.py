@@ -10,10 +10,9 @@ loss-surface / wrongness-degree / top-k diagnostics at desk scale.
 from .analysis import (BandRow, KSweepRow, SurfaceGrid, default_a_grid, default_tau_grid,
                        k_sweep, loss_surface, wrongness_experiment)
 from .baselines import GlobalTemp, apply_global, fit_global_temperature, nll_objective
-from .calibrator import (CalibratorParams, TrainConfig, TrainingTrace, build_features,
-                         calibrate, calibrate_dataset, constant_temperature_params,
-                         feature_matrix, forward, forward_batch, grad_params, init_params,
-                         train)
+from .calibrator import (CalibratorParams, TrainConfig, TrainingTrace, calibrate_dataset,
+                         constant_temperature_params, feature_matrix, forward_batch,
+                         grad_params, init_params, train)
 from .datagen import SynthConfig, craft_wrongness_set, generate
 from .errors import (CalibrationError, DatasetFormatError, DomainError, InvalidInputError,
                      ShortfallError, TrainingDivergedError, UndefinedMetricError,
@@ -22,11 +21,9 @@ from .io import (export_band_rows_csv, export_confidence_csv, export_ksweep_csv,
                  export_metrics_csv, export_surface_csv, export_trace_csv, load_dataset,
                  load_params, save_dataset, save_params)
 from .losses import (Decomposition, DiscrepancyMode, LossBounds, LossKind, ca_bounds,
-                     ca_loss, ca_loss_batch, ce_loss, decompose, dloss_dtau, mse_loss)
-from .metrics import (MetricsReport, ace, auroc, brier_multiclass, brier_top_label, ece,
-                      ks_error, report)
-from .records import (CorrectnessView, Dataset, SampleRecord, correctness_view,
-                      wrongness_ratio, wrongness_ratios)
-from .tensor_math import max_confidence, scale_logits, softmax, top_k_indices
+                     ca_loss_batch, decompose)
+from .metrics import MetricsReport, auroc, brier_top_label, ece, ks_error, report
+from .records import CorrectnessView, Dataset, correctness_view, wrongness_ratios
+from .tensor_math import top_k_indices
 
 __version__ = "0.1.0"

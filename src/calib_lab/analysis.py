@@ -71,6 +71,8 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
     [a, 2.0, 0.1, 0.05] (label 0) over a grid of a and tau."""
     a_values = default_a_grid() if a_values is None else np.asarray(a_values, dtype=np.float64)
     tau_values = default_tau_grid() if tau_values is None else np.asarray(tau_values, dtype=np.float64)
+    if a_values.size == 0 or tau_values.size == 0:
+        raise DomainError("loss surface needs at least one a value and one tau value")
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
         raise DomainError("ground-truth logit a must stay below 2.0 (sample must stay wrong)")
 

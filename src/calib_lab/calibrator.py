@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
-from .records import Dataset, SampleRecord
-from .tensor_math import row_softmax, sigmoid, softplus, top_confidence, top_k_indices
+from .records import Dataset
+from .tensor_math import sigmoid, softplus, top_confidence, top_k_indices
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -80,7 +80,7 @@ class CalibratorParams:
         if not all(np.all(np.isfinite(a)) for a in all_values) or not np.isfinite(self.b2):
             raise InvalidInputError("parameters contain non-finite values")
         if not (np.isfinite(self.tau_min) and self.tau_min > 0):
-            raise InvalidInputError(f"tau_min must be > 0, got {self.tau_min}")
+            raise InvalidInputError(f"tau_min must be finite and > 0, got {self.tau_min}")
         if not 1 <= self.k <= self.n_classes:
             raise InvalidInputError(f"k={self.k} outside [1, {self.n_classes}]")
         for a in all_values:
@@ -123,8 +123,8 @@ class TrainConfig:
             raise DomainError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise DomainError("learning rate must be > 0")
-        if not self.tau_min > 0:
-            raise DomainError("tau_min must be > 0")
+        if not (np.isfinite(self.tau_min) and self.tau_min > 0):
+            raise DomainError(f"tau_min must be finite and > 0, got {self.tau_min}")
 
 
 @dataclass(frozen=True)
@@ -147,13 +147,6 @@ class TrainingTrace:
         return float(self.losses[-1])
 
 
-@dataclass(frozen=True)
-class CalibratedSample:
-    tau: float
-    probs: np.ndarray
-    confidence: float
-
-
 @dataclass
 class ParamGradients:
     w1: np.ndarray
@@ -170,11 +163,6 @@ def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
     q = top_k_indices(Z, k)                                        # (n, k)
     gathered = np.take_along_axis(T, q[:, None, :], axis=2)
     return gathered.reshape(Z.shape[0], T.shape[1] * k)
-
-
-def build_features(r: SampleRecord, k: int) -> np.ndarray:
-    """One-record view of :func:`feature_matrix`."""
-    return _features(r.logits[None, :], r.transform_probs[None], k)[0]
 
 
 def feature_matrix(d: Dataset, k: int) -> np.ndarray:
@@ -204,24 +192,6 @@ def forward_batch(p: CalibratorParams, F: np.ndarray) -> np.ndarray:
     if F.ndim != 2 or F.shape[1] != p.input_width:
         raise DomainError(f"features must have shape (n, {p.input_width}), got {F.shape}")
     return _forward_trace(p, F)[5]
-
-
-def forward(p: CalibratorParams, f: np.ndarray) -> float:
-    """Temperature for a single feature vector; always >= tau_min."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.ndim != 1 or f.shape[0] != p.input_width:
-        raise DomainError(f"feature vector must have length {p.input_width}, got shape {f.shape}")
-    return float(forward_batch(p, f[None, :])[0])
-
-
-def calibrate(p: CalibratorParams, r: SampleRecord) -> CalibratedSample:
-    """One-record view of :func:`calibrate_dataset`, with the full
-    rescaled softmax vector. The predicted label is unchanged by
-    construction."""
-    d = Dataset.from_records([r])
-    taus, confidences = calibrate_dataset(p, d)
-    return CalibratedSample(tau=float(taus[0]), probs=row_softmax(d.logits, taus)[0],
-                            confidence=float(confidences[0]))
 
 
 def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import analysis, baselines, calibrator, datagen, io, metrics
-from .errors import CalibrationError
+from .errors import CalibrationError, DomainError
 from .losses import DiscrepancyMode, LossKind
 from .records import correctness_view
 
@@ -95,6 +95,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    if not (np.isfinite(args.a_step) and args.a_step > 0):
+        raise DomainError(f"--a-step must be finite and > 0, got {args.a_step}")
     a_values = np.linspace(args.a_min, args.a_max,
                            int(round((args.a_max - args.a_min) / args.a_step)) + 1)
     tau_values = np.geomspace(args.tau_lo, args.tau_hi, args.tau_points)

@@ -184,12 +184,17 @@ def load_params(path) -> CalibratorParams:
     for name in ("C", "M", "k"):
         if not isinstance(obj[name], int) or isinstance(obj[name], bool) or obj[name] < 1:
             raise InvalidInputError(f"parameter field {name!r} must be a positive integer")
+    numbers = {}
     for name in ("b2", "tau_min"):
         if not isinstance(obj[name], (int, float)) or isinstance(obj[name], bool):
             raise InvalidInputError(f"parameter field {name!r} must be a number")
+        try:
+            numbers[name] = float(obj[name])
+        except OverflowError as exc:  # an integer beyond the float range
+            raise InvalidInputError(f"parameter field {name!r} is beyond the float range") from exc
     # CalibratorParams checks every weight array's values and shape.
-    return CalibratorParams(w1=obj["W1"], b1=obj["b1"], w2=obj["W2"], b2=float(obj["b2"]),
-                            tau_min=float(obj["tau_min"]), n_classes=c, n_transforms=m, k=k,
+    return CalibratorParams(w1=obj["W1"], b1=obj["b1"], w2=obj["W2"], b2=numbers["b2"],
+                            tau_min=numbers["tau_min"], n_classes=c, n_transforms=m, k=k,
                             w1b=obj.get("W1b"), b1b=obj.get("b1b"))
 
 

@@ -91,11 +91,6 @@ def _discrepancy(residual: np.ndarray, mode: DiscrepancyMode) -> np.ndarray:
     return np.abs(residual) if mode is DiscrepancyMode.L1 else residual * residual
 
 
-def ca_loss(c_hat: float, correct: bool, mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
-    """Per-sample correctness-aware loss: distance from the indicator."""
-    return ca_loss_batch([c_hat], [correct], mode)
-
-
 def ca_loss_batch(confidences, correct, mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Mean per-sample correctness-aware loss over a batch."""
     confidences, correct = check_pair(confidences, correct)
@@ -164,23 +159,6 @@ def mse_rows(P, labels) -> np.ndarray:
     return np.sum(residual * residual, axis=1)
 
 
-def _one_row(p, label: int) -> tuple[np.ndarray, list[int]]:
-    p = np.asarray(p, dtype=np.float64)
-    if not 0 <= label < p.shape[0]:
-        raise DomainError(f"label {label} outside [0, {p.shape[0]})")
-    return p[None, :], [label]
-
-
-def ce_loss(p, label: int) -> float:
-    """Cross-entropy of one probability vector, floored at 1e-12."""
-    return float(ce_rows(*_one_row(p, label))[0])
-
-
-def mse_loss(p, label: int) -> float:
-    """Squared error between one probability vector and the one-hot label."""
-    return float(mse_rows(*_one_row(p, label))[0])
-
-
 class LogitBatch:
     """The temperature-free part of the batched losses, computed once:
     float logits ``Z``, integer ``labels``, the row-max shifted logits
@@ -247,12 +225,6 @@ def loss_values(Z, labels, taus, kind: LossKind,
     return _discrepancy(P[b.rows, b.predicted] - (b.predicted == b.labels), mode)
 
 
-def loss_at_tau(z, label: int, tau: float, kind: LossKind,
-                mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
-    """Single-sample loss at a given temperature."""
-    return float(loss_values([z], [label], [tau], kind, mode)[0])
-
-
 def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
                      mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
     """Analytic derivative of the per-sample loss with respect to its
@@ -291,9 +263,3 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
         sign = np.where(indicator == 1.0, -1.0, 1.0)
         return sign * dc_dtau
     return 2.0 * (c_hat - indicator) * dc_dtau
-
-
-def dloss_dtau(z, label: int, tau: float, kind: LossKind,
-               mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
-    """Scalar form of :func:`dloss_dtau_batch`."""
-    return float(dloss_dtau_batch([z], [label], [tau], kind, mode)[0])

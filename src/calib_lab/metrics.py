@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, UndefinedMetricError
-from .losses import DiscrepancyMode, ca_loss_batch, check_pair, mse_rows
+from .losses import DiscrepancyMode, ca_loss_batch, check_pair
 from .records import NARROWLY_WRONG_THRESHOLD, Dataset, correctness_view, wrongness_ratios
 
 DEFAULT_BINS = 25
@@ -53,36 +53,10 @@ def ece(confidences, correct, bins: int = DEFAULT_BINS) -> float:
     return float(np.sum(counts[filled] / n * gaps))
 
 
-def ace(confidences, correct, bins: int = DEFAULT_BINS) -> float:
-    """Adaptive (equal-mass) variant of ECE; not part of headline reports."""
-    confidences, correct = check_pair(confidences, correct)
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
-    order = np.argsort(confidences, kind="stable")
-    n = confidences.size
-    total = 0.0
-    for chunk in np.array_split(order, min(bins, n)):
-        if chunk.size == 0:
-            continue
-        gap = abs(float(np.mean(confidences[chunk])) - float(np.mean(correct[chunk])))
-        total += (chunk.size / n) * gap
-    return total
-
-
 def brier_top_label(confidences, correct) -> float:
     """Mean squared gap between top-label confidence and correctness: the
     squared-distance CA loss of the batch."""
     return ca_loss_batch(confidences, correct, DiscrepancyMode.SQUARED_L2)
-
-
-def brier_multiclass(probs, labels) -> float:
-    """Full-vector Brier score against one-hot labels (separate from the
-    top-label form used in reports): the mean MSE loss."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise InvalidInputError("probs must be (n, C) with matching labels")
-    return float(np.mean(mse_rows(probs, labels)))
 
 
 def ks_error(confidences, correct) -> float:

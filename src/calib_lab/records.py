@@ -1,10 +1,10 @@
-"""Domain data model: per-sample records, datasets, and derived
-per-sample quantities (correctness, wrongness degree).
+"""Domain data model: datasets and derived per-sample quantities
+(correctness, wrongness degree).
 
 A dataset stores its contents as stacked arrays (logits ``(n, C)``,
 labels ``(n,)``, transform softmax outputs ``(n, M, C)``) so the
-numeric modules can stay vectorized; ``SampleRecord`` is the
-per-record view used by single-sample operations.
+numeric modules can stay vectorized; a single sample is a one-row
+dataset.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 from .tensor_math import predicted_labels, shift_rows, softmax_shifted, top_confidence
 
 # A wrongly predicted sample counts as narrowly wrong when the ratio of
@@ -52,31 +52,6 @@ def _check_values(logits: np.ndarray, labels: np.ndarray, probs: np.ndarray) -> 
                                 field=("logits", "label")[col] if col < 2 else f"transforms[{ch}]")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """One classified example: logits, label, and the softmax vectors
-    of its M transformed variants."""
-
-    logits: np.ndarray          # (C,)
-    label: int
-    transform_probs: np.ndarray  # (M, C), rows sum to 1
-
-    def __post_init__(self):
-        # Validated, copied and frozen as a one-record dataset.
-        d = Dataset([self.logits], [self.label], [self.transform_probs])
-        object.__setattr__(self, "logits", d.logits[0])
-        object.__setattr__(self, "label", int(d.labels[0]))
-        object.__setattr__(self, "transform_probs", d.transform_probs[0])
-
-    @property
-    def n_classes(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def n_transforms(self) -> int:
-        return self.transform_probs.shape[0]
-
-
 class Dataset:
     """Immutable collection of records sharing class count C and
     transform count M. An ``_owned`` caller's fresh float64 arrays are frozen, not copied."""
@@ -109,17 +84,6 @@ class Dataset:
         self.record_ids = record_ids
         self._view = None  # built by correctness_view on first use
 
-    @classmethod
-    def from_records(cls, records) -> "Dataset":
-        records = list(records)
-        if not records:
-            raise InvalidInputError("dataset must contain at least one record")
-        for i, r in enumerate(records):
-            if (r.n_classes, r.n_transforms) != (records[0].n_classes, records[0].n_transforms):
-                raise InvalidInputError(f"record {i} has inconsistent C or M")
-        return cls(np.stack([r.logits for r in records]), np.array([r.label for r in records]),
-                   np.stack([r.transform_probs for r in records]))
-
     @property
     def n(self) -> int:
         return self.logits.shape[0]
@@ -134,9 +98,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def __getitem__(self, i: int) -> SampleRecord:
-        return SampleRecord(self.logits[i], int(self.labels[i]), self.transform_probs[i])
 
     def subset(self, indices) -> "Dataset":
         """Selection-only subset; record contents are preserved bit-exactly."""
@@ -178,16 +139,6 @@ def correctness_view(d: Dataset) -> CorrectnessView:
         d._view = CorrectnessView(predicted.astype(np.int64), predicted == d.labels,
                                   top_confidence(d.logits))
     return d._view
-
-
-def wrongness_ratio(r: SampleRecord) -> float:
-    """Ground-truth probability over predicted-class probability for a
-    wrongly predicted record. Always in (0, 1] since the predicted class
-    holds the maximum."""
-    ratio = float(wrongness_ratios(Dataset.from_records([r]))[0])
-    if np.isnan(ratio):
-        raise DomainError("wrongness ratio is undefined for correctly predicted records")
-    return ratio
 
 
 def wrongness_ratios(d: Dataset) -> np.ndarray:

@@ -5,9 +5,8 @@ an optional temperature (a scalar or one per row). It checks the logits,
 subtracts the row max (``shift_rows``) and hands the result to
 ``softmax_shifted``, the one softmax core, which callers holding
 already-shifted logits use directly; ``top_confidence`` reads the top
-score from its exponentials unnormalised. ``softmax`` and ``max_confidence``
-are one-row views and ``scale_logits`` shares the temperature check.
-``predicted_labels`` is the one definition of the predicted class
+score from its exponentials unnormalised. A single sample is a one-row
+matrix. ``predicted_labels`` is the one definition of the predicted class
 (argmax of the logits, which no temperature can move). Probabilities
 destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
 """
@@ -20,22 +19,6 @@ from .errors import DomainError, InvalidInputError
 
 # Floor applied to probabilities before any logarithm downstream.
 PROB_FLOOR = 1e-12
-
-
-def _as_logits(z) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] < 2:
-        raise InvalidInputError(f"logit vector must be 1-D with length >= 2, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise InvalidInputError("logit vector contains non-finite entries")
-    return z
-
-
-def _check_taus(taus) -> np.ndarray:
-    taus = np.asarray(taus, dtype=np.float64)
-    if not np.all(np.isfinite(taus) & (taus > 0)):
-        raise DomainError("temperatures must be finite and > 0")
-    return taus
 
 
 def check_logits(Z) -> np.ndarray:
@@ -58,7 +41,9 @@ def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
 def tau_column(taus, n: int) -> np.ndarray:
     """Checked temperatures shaped to divide n rows: a scalar stays a
     scalar, n temperatures become an (n, 1) column."""
-    taus = _check_taus(taus)
+    taus = np.asarray(taus, dtype=np.float64)
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise DomainError("temperatures must be finite and > 0")
     if taus.ndim == 1 and taus.shape[0] == n:
         return taus[:, None]
     if taus.ndim != 0:
@@ -119,16 +104,6 @@ def top_confidence(Z, taus=None) -> np.ndarray:
     return 1.0 / _exp_shifted(S, taus, out=S).sum(axis=1)
 
 
-def softmax(z) -> np.ndarray:
-    """One-row view of :func:`row_softmax`."""
-    return row_softmax(_as_logits(z)[None, :])[0]
-
-
-def scale_logits(z, tau: float) -> np.ndarray:
-    """Element-wise z / tau; tau must be finite and strictly positive."""
-    return _as_logits(z) / _check_taus(tau)
-
-
 def top_k_indices(v, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis of a vector
     or a matrix, descending; ties favor the smaller index."""
@@ -139,13 +114,6 @@ def top_k_indices(v, k: int) -> np.ndarray:
         raise DomainError(f"k must satisfy 1 <= k <= {v.shape[-1]}, got {k}")
     # Stable sort on the negated values keeps equal entries in index order.
     return np.argsort(-v, axis=-1, kind="stable")[..., :k]
-
-
-def max_confidence(z, tau: float = 1.0) -> tuple[int, float]:
-    """Predicted label and its softmax score under temperature tau, for
-    one logit vector. The label is invariant to tau; only the score changes."""
-    Z = _as_logits(z)[None, :]
-    return int(predicted_labels(Z)[0]), float(top_confidence(Z, tau)[0])
 
 
 def softplus(x):

@@ -3,12 +3,14 @@ trainer and the scoring path from outside and fails its self-check when
 a span it expects never fires. These tests load its tracer and workload
 list as they are and run a small training or report under the hooks."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
+import calib_lab
 from calib_lab import calibrator, metrics
 from calib_lab.datagen import SynthConfig, generate
 
@@ -53,3 +55,21 @@ def test_traced_scoring_fires_every_metric_span(bench_modules):
     stats = tracer.pass_stats(None)
     for name in workloads._METRIC_SPANS + ("records.correctness_view", "metrics.report"):
         assert stats.get(name, {}).get("calls", 0) > 0, f"{name} never fired"
+
+
+def test_workloads_use_only_existing_api():
+    """Every ``calib_lab.<name>`` the workloads read exists, and so does every
+    attribute of a name they import from the package (``cli.run``), so no
+    deletion from the package can break a benchmark run."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    owners = {"calib_lab": calib_lab}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "calib_lab":
+            for a in node.names:
+                assert hasattr(calib_lab, a.name), f"calib_lab has no {a.name}"
+                owners[a.asname or a.name] = getattr(calib_lab, a.name)
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in owners}
+    assert [f"{o}.{a}" for o, a in sorted(used) if not hasattr(owners[o], a)] == []
+    assert {("calib_lab", "train"), ("cli", "run")} <= used

@@ -3,33 +3,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from calib_lab.calibrator import (CalibratorParams, TrainConfig, batch_loss, build_features,
-                                  calibrate, calibrate_dataset, constant_temperature_params,
-                                  feature_matrix, forward, forward_batch, grad_params,
-                                  init_params, train)
+from calib_lab.calibrator import (CalibratorParams, TrainConfig, batch_loss, calibrate_dataset,
+                                  constant_temperature_params, feature_matrix, forward_batch,
+                                  grad_params, init_params, train)
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError, TrainingDivergedError
 from calib_lab.losses import DiscrepancyMode, LossKind
 from calib_lab.metrics import ece
-from calib_lab.records import SampleRecord, correctness_view
-from calib_lab.tensor_math import softmax
+from calib_lab.records import Dataset, correctness_view
+from calib_lab.tensor_math import row_softmax
 
 L1 = DiscrepancyMode.L1
 SQ = DiscrepancyMode.SQUARED_L2
 
 
 def record_with_transforms(logits, label, transforms):
-    return SampleRecord(np.asarray(logits, dtype=float), label,
-                        np.asarray(transforms, dtype=float))
+    """A one-record dataset."""
+    return Dataset([logits], [label], [transforms])
 
 
 # --- feature gathering ---
 
 def test_self_gather_sorts_descending():
     logits = [0.3, 1.7, -0.5, 0.9]
-    own = softmax(logits)
+    own = row_softmax([logits])[0]
     r = record_with_transforms(logits, 1, [own])
-    feats = build_features(r, 4)
+    feats = feature_matrix(r, 4)[0]
     np.testing.assert_allclose(feats, np.sort(own)[::-1], atol=0)
 
 
@@ -40,7 +39,7 @@ def test_hand_gather_two_channels():
     v1 = [0.1, 0.6, 0.2, 0.1]
     v2 = [0.4, 0.3, 0.2, 0.1]
     r = record_with_transforms(logits, 0, [v1, v2])
-    np.testing.assert_allclose(build_features(r, 2), [0.6, 0.1, 0.3, 0.4], atol=0)
+    np.testing.assert_allclose(feature_matrix(r, 2)[0], [0.6, 0.1, 0.3, 0.4], atol=0)
 
 
 def test_gather_ignores_classes_outside_top_k():
@@ -50,20 +49,20 @@ def test_gather_ignores_classes_outside_top_k():
     swapped = base.copy()
     swapped[0, [3, 4]] = swapped[0, [4, 3]]  # permute outside top-2
     r2 = record_with_transforms(logits, 0, swapped)
-    np.testing.assert_array_equal(build_features(r1, 2), build_features(r2, 2))
+    np.testing.assert_array_equal(feature_matrix(r1, 2), feature_matrix(r2, 2))
 
 
 def test_feature_matrix_matches_per_record():
     d = generate(SynthConfig(n=60, seed=8))
     F = feature_matrix(d, 4)
     for i in range(d.n):
-        np.testing.assert_array_equal(F[i], build_features(d[i], 4))
+        np.testing.assert_array_equal(F[i], feature_matrix(d.subset([i]), 4)[0])
 
 
-def test_build_features_rejects_large_k():
+def test_feature_matrix_rejects_large_k():
     d = generate(SynthConfig(n=5, seed=8))
     with pytest.raises(DomainError):
-        build_features(d[0], d.n_classes + 1)
+        feature_matrix(d.subset([0]), d.n_classes + 1)
     with pytest.raises(DomainError):
         feature_matrix(d, d.n_classes + 1)
 
@@ -76,8 +75,9 @@ def test_forward_zero_params_closed_form():
     zero = CalibratorParams(w1=np.zeros((5, 6)), b1=np.zeros(5), w2=np.zeros((1, 5)),
                             b2=0.0, tau_min=0.05, n_classes=4, n_transforms=2, k=3)
     f = np.random.default_rng(0).random(6)
-    assert forward(zero, f) == pytest.approx(np.log(2.0) + 0.05, abs=1e-15)
-    assert forward(p, f) == pytest.approx(forward(zero, f), abs=1e-12)
+    assert forward_batch(zero, f[None])[0] == pytest.approx(np.log(2.0) + 0.05, abs=1e-15)
+    assert forward_batch(p, f[None])[0] == pytest.approx(forward_batch(zero, f[None])[0],
+                                                         abs=1e-12)
 
 
 def test_forward_always_above_tau_min():
@@ -105,20 +105,20 @@ def test_forward_matches_plain_arithmetic_oracle():
         for i in range(5):
             out += p.w2[0, i] * hidden[i]
         expected = np.log1p(np.exp(out)) + p.tau_min
-        assert abs(forward(p, f) - expected) < 1e-12
+        assert abs(forward_batch(p, f[None])[0] - expected) < 1e-12
 
 
 def test_forward_rejects_dimension_mismatch():
     p = init_params(6, 2, 3, seed=0)
     with pytest.raises(DomainError):
-        forward(p, np.zeros(5))
+        forward_batch(p, np.zeros((1, 5)))
 
 
 def test_two_hidden_layer_variant():
     p = init_params(6, 2, 3, seed=1, two_hidden=True)
     assert p.w1b is not None and p.w1b.shape == (5, 5)
     f = np.random.default_rng(5).random(6)
-    assert forward(p, f) >= p.tau_min
+    assert forward_batch(p, f[None])[0] >= p.tau_min
 
 
 # --- calibration ---
@@ -127,9 +127,11 @@ def test_identity_temperature_preserves_softmax():
     d = generate(SynthConfig(n=40, seed=9))
     p = constant_temperature_params(1.0, d.n_classes, d.n_transforms, 4)
     for i in range(5):
-        out = calibrate(p, d[i])
-        np.testing.assert_allclose(out.probs, softmax(d[i].logits), atol=1e-15)
-        assert out.tau == pytest.approx(1.0, abs=1e-12)
+        one = d.subset([i])
+        taus, _ = calibrate_dataset(p, one)
+        np.testing.assert_allclose(row_softmax(one.logits, taus)[0], row_softmax(one.logits)[0],
+                                   atol=1e-15)
+        assert taus[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_calibration_preserves_predictions_dataset_wide():
@@ -137,7 +139,6 @@ def test_calibration_preserves_predictions_dataset_wide():
     params, _ = train(d, TrainConfig(epochs=3, seed=0))
     view = correctness_view(d)
     taus, _ = calibrate_dataset(params, d)
-    from calib_lab.tensor_math import row_softmax
     predicted_after = np.argmax(row_softmax(d.logits / taus[:, None]), axis=1)
     np.testing.assert_array_equal(predicted_after, view.predicted)
 
@@ -145,8 +146,8 @@ def test_calibration_preserves_predictions_dataset_wide():
 def test_large_temperature_flattens_confidence():
     d = generate(SynthConfig(n_classes=4, n=10, seed=11))
     p = constant_temperature_params(1e6, 4, d.n_transforms, 4)
-    out = calibrate(p, d[0])
-    assert out.confidence == pytest.approx(0.25, abs=1e-5)
+    _, confidences = calibrate_dataset(p, d.subset([0]))
+    assert confidences[0] == pytest.approx(0.25, abs=1e-5)
 
 
 # --- gradients ---

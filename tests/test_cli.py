@@ -104,6 +104,28 @@ def test_surface_subcommand(tmp_path):
     assert rows[0]["loss_kind"] == "mse"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--a-step", "0"], "--a-step must be finite and > 0"),
+    (["--a-step", "nan"], "--a-step must be finite and > 0"),
+    (["--tau-points", "0"], "at least one a value and one tau value"),
+])
+def test_surface_rejects_an_empty_or_undefined_grid(tmp_path, capsys, flags, message):
+    out = tmp_path / "surface.csv"
+    assert run(["surface", "--loss", "mse", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_min", ["inf", "nan", "0"])
+def test_train_rejects_a_tau_min_that_is_not_finite_and_positive(tmp_path, capsys, tau_min):
+    data = synth(tmp_path, "d.jsonl", n=100)
+    out = tmp_path / "params.json"
+    assert run(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                "--tau-min", tau_min]) == 2
+    assert "tau_min must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wrongness_subcommand(tmp_path):
     train_data = synth(tmp_path, "tr.jsonl", n=3000, seed=1,
                        extra=("--wrongness-skew", "0.5"))

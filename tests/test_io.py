@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_lab.analysis import loss_surface
-from calib_lab.calibrator import TrainConfig, calibrate_dataset, forward, init_params, train
+from calib_lab.calibrator import TrainConfig, calibrate_dataset, forward_batch, init_params, train
 from calib_lab.cli import run
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import (DatasetFormatError, InvalidInputError, UnsupportedVersionError)
@@ -129,7 +129,7 @@ def test_params_round_trip_exact(tmp_path):
     assert loaded.b2 == params.b2
     assert loaded.tau_min == params.tau_min
     f = np.random.default_rng(0).random(params.input_width)
-    assert forward(loaded, f) == forward(params, f)  # 0 ulp
+    assert forward_batch(loaded, f[None])[0] == forward_batch(params, f[None])[0]  # 0 ulp
 
 
 def test_params_round_trip_two_hidden(tmp_path):
@@ -173,6 +173,7 @@ def test_params_shape_tamper_names_field(tmp_path):
     ("C", True), ("M", True), ("k", True), ("b2", True), ("b2", "0.5"),
     ("tau_min", True), ("tau_min", [0.05]), ("tau_min", None),
     ("b1", ["0.0"] * 5), ("b1", [True] * 5), ("W2", [[False] * 5]), ("W1", [["0.5"]] * 5),
+    ("b2", 10 ** 400), ("tau_min", 10 ** 400),  # integers beyond the float range
 ])
 def test_params_bad_field_type_names_field(tmp_path, field, value):
     path = tmp_path / "params.json"
@@ -182,6 +183,17 @@ def test_params_bad_field_type_names_field(tmp_path, field, value):
     path.write_text(json.dumps(obj))
     with pytest.raises(InvalidInputError, match=f"'{field}'"):
         load_params(path)
+
+
+def test_params_infinite_tau_min_is_refused(tmp_path):
+    path = tmp_path / "params.json"
+    save_params(path, init_params(4, 1, 1, seed=0))
+    obj = json.loads(path.read_text())
+    obj["tau_min"] = float("inf")  # written as the JSON extension Infinity
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidInputError, match="tau_min must be finite and > 0"):
+        load_params(path)
+
 
 def test_metrics_csv_schema_and_scaling(tmp_path):
     d = generate(SynthConfig(n=300, seed=53))

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from calib_lab.errors import DomainError
-from calib_lab.losses import (DiscrepancyMode, LossKind, ca_bounds, ca_loss, ca_loss_batch,
-                              ce_loss, decompose, dloss_dtau, loss_at_tau, mse_loss)
-from calib_lab.tensor_math import softmax
+from calib_lab.losses import (DiscrepancyMode, LossKind, ca_bounds, ca_loss_batch, ce_rows,
+                              decompose, dloss_dtau_batch, loss_values, mse_rows)
+from calib_lab.tensor_math import row_softmax
 
 L1 = DiscrepancyMode.L1
 SQ = DiscrepancyMode.SQUARED_L2
 
-ORACLE_P = softmax([1.0, 2.0, 0.1, 0.05])
+ORACLE_P = row_softmax([[1.0, 2.0, 0.1, 0.05]])[0]
 
 
 def random_batch(rng, n=None, c=None):
@@ -20,18 +20,18 @@ def random_batch(rng, n=None, c=None):
     return conf, correct, c
 
 
-# --- per-sample and batch CA loss ---
+# --- one-sample and batch CA loss ---
 
 def test_ca_loss_examples():
-    assert ca_loss(1.0, True, L1) == 0.0
-    assert ca_loss(0.292, False, L1) == pytest.approx(0.292, abs=1e-15)
-    assert ca_loss(0.6, False, SQ) == pytest.approx(0.36, abs=1e-15)
+    assert ca_loss_batch([1.0], [True], L1) == 0.0
+    assert ca_loss_batch([0.292], [False], L1) == pytest.approx(0.292, abs=1e-15)
+    assert ca_loss_batch([0.6], [False], SQ) == pytest.approx(0.36, abs=1e-15)
 
 
 def test_ca_loss_domain():
     for bad in (0.0, -0.1, 1.2, np.nan):
         with pytest.raises(DomainError):
-            ca_loss(bad, True, L1)
+            ca_loss_batch([bad], [True], L1)
 
 
 def test_ca_loss_batch_hand_cases():
@@ -116,18 +116,18 @@ def test_decompose_below_half_accuracy_is_diagnostic_only():
 
 def test_ce_loss_values():
     one_hot = np.array([1.0, 0.0, 0.0])
-    assert ce_loss(one_hot, 0) == pytest.approx(0.0, abs=1e-15)
-    assert ce_loss(np.full(4, 0.25), 2) == pytest.approx(np.log(4.0), abs=1e-15)
+    assert ce_rows(np.array([one_hot]), [0])[0] == pytest.approx(0.0, abs=1e-15)
+    assert ce_rows(np.full((1, 4), 0.25), [2])[0] == pytest.approx(np.log(4.0), abs=1e-15)
     # frozen from the arbitrary-precision softmax oracle
-    assert ce_loss(ORACLE_P, 0) == pytest.approx(1.5066501979839817, abs=1e-15)
+    assert ce_rows(np.array([ORACLE_P]), [0])[0] == pytest.approx(1.5066501979839817, abs=1e-15)
     # floored at 1e-12 instead of diverging
-    assert ce_loss(np.array([0.0, 1.0]), 0) == pytest.approx(-np.log(1e-12), abs=1e-9)
+    assert ce_rows(np.array([[0.0, 1.0]]), [0])[0] == pytest.approx(-np.log(1e-12), abs=1e-9)
 
 
 def test_mse_loss_values():
-    assert mse_loss(np.array([0.0, 1.0, 0.0]), 1) == 0.0
-    assert mse_loss(np.full(4, 0.25), 3) == pytest.approx(0.75, abs=1e-15)
-    assert mse_loss(ORACLE_P, 0) == pytest.approx(0.9843149212862595, abs=1e-15)
+    assert mse_rows(np.array([[0.0, 1.0, 0.0]]), [1])[0] == 0.0
+    assert mse_rows(np.full((1, 4), 0.25), [3])[0] == pytest.approx(0.75, abs=1e-15)
+    assert mse_rows(np.array([ORACLE_P]), [0])[0] == pytest.approx(0.9843149212862595, abs=1e-15)
 
 
 # --- temperature derivatives ---
@@ -146,9 +146,9 @@ def test_dloss_dtau_matches_central_differences():
                 continue
             label = int(rng.integers(c))
             tau = float(np.exp(rng.uniform(np.log(0.3), np.log(5.0))))
-            analytic = dloss_dtau(z, label, tau, kind, mode)
-            fd = (loss_at_tau(z, label, tau + h, kind, mode)
-                  - loss_at_tau(z, label, tau - h, kind, mode)) / (2 * h)
+            analytic = dloss_dtau_batch([z], [label], [tau], kind, mode)[0]
+            fd = (loss_values([z], [label], [tau + h], kind, mode)[0]
+                  - loss_values([z], [label], [tau - h], kind, mode)[0]) / (2 * h)
             assert abs(analytic - fd) / max(1.0, abs(analytic)) < 1e-5
             checked += 1
 
@@ -156,7 +156,7 @@ def test_dloss_dtau_matches_central_differences():
 def test_dloss_dtau_constant_logits_is_zero():
     z = np.array([1.3, 1.3, 1.3, 1.3])
     for kind in LossKind:
-        assert dloss_dtau(z, 2, 0.7, kind) == pytest.approx(0.0, abs=1e-15)
+        assert dloss_dtau_batch([z], [2], [0.7], kind)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ca_derivative_negative_for_wrong_prediction():
@@ -168,18 +168,18 @@ def test_ca_derivative_negative_for_wrong_prediction():
         if int(np.argmax(z)) == label or np.ptp(z) < 1e-6:
             continue
         for mode in (L1, SQ):
-            assert dloss_dtau(z, label, 1.3, LossKind.CA, mode) < 0
+            assert dloss_dtau_batch([z], [label], [1.3], LossKind.CA, mode)[0] < 0
         checked += 1
 
 
 def test_dloss_dtau_rejects_nonpositive_tau():
     with pytest.raises(DomainError):
-        dloss_dtau([1.0, 2.0], 0, 0.0, LossKind.CE)
+        dloss_dtau_batch([[1.0, 2.0]], [0], [0.0], LossKind.CE)
 
 
 def test_ca_loss_nonincreasing_in_tau_for_wrong_sample():
     z = np.array([1.9, 2.0, 0.1, 0.05])
     taus = np.geomspace(0.05, 50.0, 300)
     for mode in (L1, SQ):
-        values = [loss_at_tau(z, 0, t, LossKind.CA, mode) for t in taus]
+        values = [loss_values([z], [0], [t], LossKind.CA, mode)[0] for t in taus]
         assert np.all(np.diff(values) <= 1e-15)

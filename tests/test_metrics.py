@@ -9,8 +9,7 @@ from calib_lab.calibrator import constant_temperature_params, calibrate_dataset
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, ca_loss_batch
-from calib_lab.metrics import (_midranks, ace, auroc, brier_multiclass, brier_top_label, ece,
-                               ks_error, report)
+from calib_lab.metrics import _midranks, auroc, brier_top_label, ece, ks_error, report
 from calib_lab.records import correctness_view
 
 
@@ -145,13 +144,6 @@ def test_brier_values():
     assert brier_top_label(conf, correct) == pytest.approx(direct, abs=1e-12)
 
 
-def test_brier_multiclass_full_vector():
-    probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
-    labels = np.array([0, 2])
-    expected = ((0.3 ** 2 + 0.2 ** 2 + 0.1 ** 2) + (0.1 ** 2 + 0.1 ** 2 + 0.2 ** 2)) / 2
-    assert brier_multiclass(probs, labels) == pytest.approx(expected, abs=1e-15)
-
-
 def test_metrics_invariant_under_permutation():
     rng = np.random.default_rng(34)
     conf, correct = random_set(rng, n=150)
@@ -187,8 +179,7 @@ def test_metric_ranges():
     for _ in range(20):
         conf, correct = random_set(rng)
         for value in (ece(conf, correct), brier_top_label(conf, correct),
-                      ks_error(conf, correct), auroc(conf, correct),
-                      ace(conf, correct)):
+                      ks_error(conf, correct), auroc(conf, correct)):
             assert 0.0 <= value <= 1.0
 
 

@@ -5,21 +5,21 @@ import pytest
 
 from calib_lab.analysis import DEFAULT_BANDS
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
-from calib_lab.errors import DomainError, InvalidInputError
-from calib_lab.records import (Dataset, SampleRecord, correctness_view, wrongness_ratio,
-                               wrongness_ratios)
+from calib_lab.errors import InvalidInputError
+from calib_lab.records import Dataset, correctness_view, wrongness_ratios
 from calib_lab.tensor_math import row_softmax
 
 
-def make_record(logits, label, m=2):
-    c = len(logits)
-    probs = np.full((m, c), 1.0 / c)
-    return SampleRecord(np.asarray(logits, dtype=float), label, probs)
-
-
 def make_dataset(logit_rows, labels, m=2):
-    records = [make_record(row, y, m) for row, y in zip(logit_rows, labels)]
-    return Dataset.from_records(records)
+    """Records with uniform transform rows."""
+    logits = np.asarray(logit_rows, dtype=float)
+    n, c = logits.shape
+    return Dataset(logits, labels, np.full((n, m, c), 1.0 / c))
+
+
+def one_ratio(logits, label):
+    """Wrongness ratio of a single record, as a one-row dataset."""
+    return wrongness_ratios(make_dataset([logits], [label]))[0]
 
 
 def test_correctness_flags():
@@ -54,21 +54,15 @@ def test_view_independent_of_transforms():
 def test_wrongness_ratio_narrow_case():
     # Probabilities ~0.412 / ~0.455 on ground truth vs predicted class;
     # the ratio is exactly e^(1.9 - 2.0).
-    r = make_record([1.9, 2.0, 0.1, 0.05], 0)
-    ratio = wrongness_ratio(r)
+    ratio = one_ratio([1.9, 2.0, 0.1, 0.05], 0)
     assert abs(ratio - math.exp(-0.1)) < 1e-12
     assert ratio > 0.5  # narrowly wrong
 
 
 def test_wrongness_ratio_absolute_case():
-    r = make_record([0.0, 4.5, -3.0], 0)
-    assert wrongness_ratio(r) == pytest.approx(math.exp(-4.5), rel=1e-12)
-    assert wrongness_ratio(r) < 0.05
-
-
-def test_wrongness_ratio_rejects_correct_record():
-    with pytest.raises(DomainError):
-        wrongness_ratio(make_record([5, 0, 0], 0))
+    ratio = one_ratio([0.0, 4.5, -3.0], 0)
+    assert ratio == pytest.approx(math.exp(-4.5), rel=1e-12)
+    assert ratio < 0.05
 
 
 def test_wrongness_ratio_bounds_on_random_wrong_records():
@@ -79,12 +73,12 @@ def test_wrongness_ratio_bounds_on_random_wrong_records():
         label = int(rng.integers(6))
         if int(np.argmax(z)) == label:
             continue
-        ratio = wrongness_ratio(make_record(z, label))
+        ratio = one_ratio(z, label)
         assert 0.0 < ratio <= 1.0
         seen += 1
 
 
-def test_wrongness_ratios_vectorized_matches_scalar():
+def test_wrongness_ratios_match_one_row_subsets():
     rng = np.random.default_rng(6)
     rows = rng.normal(0, 2, (80, 5))
     labels = rng.integers(0, 5, 80)
@@ -94,25 +88,23 @@ def test_wrongness_ratios_vectorized_matches_scalar():
         if int(np.argmax(rows[i])) == labels[i]:
             assert np.isnan(ratios[i])
         else:
-            assert ratios[i] == wrongness_ratio(d[i])
+            assert ratios[i] == wrongness_ratios(d.subset([i]))[0]
 
 
-def test_record_validation():
+def test_one_row_dataset_validation():
     with pytest.raises(InvalidInputError):
-        SampleRecord(np.array([1.0, np.nan]), 0, np.full((1, 2), 0.5))
+        Dataset([[1.0, np.nan]], [0], [np.full((1, 2), 0.5)])
     with pytest.raises(InvalidInputError):
-        SampleRecord(np.array([1.0, 2.0]), 5, np.full((1, 2), 0.5))
+        Dataset([[1.0, 2.0]], [5], [np.full((1, 2), 0.5)])
     with pytest.raises(InvalidInputError):
-        SampleRecord(np.array([1.0, 2.0]), 0, np.array([[0.7, 0.7]]))  # sums to 1.4
+        Dataset([[1.0, 2.0]], [0], [[[0.7, 0.7]]])  # sums to 1.4
 
 
 def test_dataset_requires_consistent_shapes():
-    r1 = make_record([1, 2, 3], 0, m=2)
-    r2 = make_record([1, 2], 0, m=2)
     with pytest.raises(InvalidInputError):
-        Dataset.from_records([r1, r2])
+        Dataset(np.zeros((2, 3)), [0, 0], np.full((2, 2, 2), 0.5))  # C = 3 vs 2
     with pytest.raises(InvalidInputError):
-        Dataset.from_records([])
+        Dataset(np.zeros((0, 3)), [], np.zeros((0, 2, 3)))
 
 
 def test_dataset_subset_preserves_contents():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_lab.errors import DomainError, InvalidInputError
-from calib_lab.tensor_math import (max_confidence, scale_logits, softmax, softplus,
+from calib_lab.tensor_math import (predicted_labels, row_softmax, softplus, top_confidence,
                                    top_k_indices)
 
 # Softmax of [1.0, 2.0, 0.1, 0.05], computed with a 60-digit
@@ -15,26 +15,25 @@ ORACLE_SOFTMAX = np.array([0.22165122346861876, 0.6025104930104614,
 
 
 def test_softmax_uniform_logits():
-    assert np.allclose(softmax([0.0, 0.0, 0.0, 0.0]), 0.25, atol=1e-15)
+    assert np.allclose(row_softmax([[0.0, 0.0, 0.0, 0.0]])[0], 0.25, atol=1e-15)
 
 
 def test_softmax_matches_arbitrary_precision_oracle():
-    np.testing.assert_allclose(softmax(ORACLE_LOGITS), ORACLE_SOFTMAX, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(row_softmax([ORACLE_LOGITS])[0], ORACLE_SOFTMAX, rtol=0,
+                               atol=1e-15)
 
 
 def test_softmax_rejects_non_finite():
     with pytest.raises(InvalidInputError):
-        softmax([np.inf, 0.0])
+        row_softmax([[np.inf, 0.0]])
     with pytest.raises(InvalidInputError):
-        softmax([np.nan, 0.0])
-    with pytest.raises(InvalidInputError):
-        softmax([1.0])  # needs C >= 2
+        row_softmax([[np.nan, 0.0]])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20))
 def test_softmax_sums_to_one(logits):
-    assert abs(softmax(logits).sum() - 1.0) < 1e-9
+    assert abs(row_softmax([logits])[0].sum() - 1.0) < 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -42,23 +41,17 @@ def test_softmax_sums_to_one(logits):
        st.floats(-30, 30))
 def test_softmax_shift_invariance(logits, c):
     z = np.asarray(logits)
-    assert np.max(np.abs(softmax(z) - softmax(z + c))) < 1e-12
+    assert np.max(np.abs(row_softmax([z])[0] - row_softmax([z + c])[0])) < 1e-12
 
 
-def test_scale_logits_identity_and_division():
-    z = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(scale_logits(z, 1.0), z)
-    np.testing.assert_allclose(scale_logits([2.0, 4.0], 2.0), [1.0, 2.0])
-
-
-def test_scale_logits_rejects_bad_tau():
+def test_row_softmax_rejects_bad_tau():
     for tau in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(DomainError):
-            scale_logits([1.0, 2.0], tau)
+            row_softmax([[1.0, 2.0]], tau)
 
 
 def test_infinite_temperature_limit_flattens():
-    p = softmax(scale_logits([1.0, 2.0, 0.1, 0.05], 1e9))
+    p = row_softmax([[1.0, 2.0, 0.1, 0.05]], 1e9)[0]
     np.testing.assert_allclose(p, 0.25, atol=1e-9)
 
 
@@ -71,7 +64,7 @@ def test_top_k_tie_breaks_by_smaller_index():
 
 
 def test_top_k_of_oracle_softmax():
-    np.testing.assert_array_equal(top_k_indices(softmax(ORACLE_LOGITS), 4), [1, 0, 2, 3])
+    np.testing.assert_array_equal(top_k_indices(row_softmax([ORACLE_LOGITS])[0], 4), [1, 0, 2, 3])
 
 
 def test_top_k_rejects_out_of_range_k():
@@ -90,30 +83,29 @@ def test_top_k_is_prefix_of_full_sort():
             np.testing.assert_array_equal(top_k_indices(v, k), full[:k])
 
 
-def test_max_confidence_closed_form():
-    label, c_hat = max_confidence([5.0, 0.0, 0.0, 0.0])
-    assert label == 0
+def test_top_confidence_closed_form():
+    z = [[5.0, 0.0, 0.0, 0.0]]
+    assert predicted_labels(np.array(z))[0] == 0
     # e^5 / (e^5 + 3), oracle-checked.
-    assert abs(c_hat - 0.980186662653491) < 1e-15
+    assert abs(top_confidence(z, 1.0)[0] - 0.980186662653491) < 1e-15
 
 
-def test_max_confidence_argmax_invariant_to_tau():
+def test_softmax_argmax_invariant_to_tau():
     rng = np.random.default_rng(1)
     for _ in range(50):
         z = rng.normal(0, 3, 6)
-        labels = {max_confidence(z, tau)[0] for tau in (0.1, 0.7, 1.0, 5.0, 40.0)}
-        assert len(labels) == 1
+        labels = {int(np.argmax(row_softmax([z], tau)[0])) for tau in (0.1, 0.7, 1.0, 5.0, 40.0)}
+        assert labels == {int(predicted_labels(z[None, :])[0])}
 
 
-def test_max_confidence_uniform_degenerate():
-    _, c_hat = max_confidence([2.0, 2.0, 2.0, 2.0])
-    assert abs(c_hat - 0.25) < 1e-15
+def test_top_confidence_uniform_degenerate():
+    assert abs(top_confidence([[2.0, 2.0, 2.0, 2.0]], 1.0)[0] - 0.25) < 1e-15
 
 
-def test_max_confidence_decreasing_in_tau():
+def test_top_confidence_decreasing_in_tau():
     z = [1.0, 2.0, 0.1, 0.05]
     taus = np.geomspace(0.05, 50, 60)
-    scores = [max_confidence(z, t)[1] for t in taus]
+    scores = [top_confidence([z], t)[0] for t in taus]
     assert np.all(np.diff(scores) < 0)
 
 
