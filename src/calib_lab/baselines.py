@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import top_confidence
+from .tensor_math import finite_shift, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -40,10 +40,8 @@ def nll_objective(d: Dataset, tau: float) -> float:
 
 def fit_global_temperature(d: Dataset) -> GlobalTemp:
     """Best single temperature for a dataset under the CE objective."""
-    # Clamped so that a row spanning more than the float64 range keeps finite logits.
-    with np.errstate(over="ignore"):
-        shifted = d.logits - d.logits.max(axis=1, keepdims=True)
-    np.maximum(shifted, -np.finfo(float).max, out=shifted)
+    # Finite even where a row spans more than the float64 range.
+    shifted = finite_shift(d.logits)
     label_z = shifted[np.arange(d.n), d.labels]
     buf = np.empty_like(shifted)
 

@@ -42,6 +42,8 @@ def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     if arr.shape != shape:
         raise InvalidInputError(f"parameter field {name!r} has shape {arr.shape}, "
                                 f"expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"parameter field {name!r} contains non-finite values")
     return arr
 
 
@@ -76,9 +78,9 @@ class CalibratorParams:
         if self.w1b is not None:
             w1b = _weights("W1b", self.w1b, (HIDDEN_WIDTH, HIDDEN_WIDTH))
             b1b = _weights("b1b", self.b1b, (HIDDEN_WIDTH,))
+        if not np.isfinite(self.b2):
+            raise InvalidInputError(f"parameter field 'b2' is not finite, got {self.b2}")
         all_values = [w1, b1, w2] + ([w1b, b1b] if w1b is not None else [])
-        if not all(np.all(np.isfinite(a)) for a in all_values) or not np.isfinite(self.b2):
-            raise InvalidInputError("parameters contain non-finite values")
         if not (np.isfinite(self.tau_min) and self.tau_min > 0):
             raise InvalidInputError(f"tau_min must be finite and > 0, got {self.tau_min}")
         if not 1 <= self.k <= self.n_classes:

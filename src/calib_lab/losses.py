@@ -12,6 +12,13 @@ The module also provides the closed-form lower/upper bounds of the
 batch ``ca`` loss, its split into a confidence-gap term (``e_diff``,
 wrong vs. paired correct samples) plus a residual-confidence term
 (``e_plus``), and analytic d(loss)/d(temperature) for all three losses.
+
+The batched losses work from the row-max shifted logits S = Z - max z
+alone. With E = exp(S / tau) and p = E / sum E, the top score is
+c = 1 / sum E, because the predicted class has S = 0, and the mean
+logit under p enters the derivatives as z_pred - zbar = -sum_c p_c S_c,
+a sum of terms of one sign instead of a difference of two large
+numbers. Only the MSE loss normalises E.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_logits, predicted_labels, shift_rows,
-                          softmax_shifted, tau_column)
+from .tensor_math import (PROB_FLOOR, check_logits, exp_shifted, finite_shift,
+                          predicted_labels, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -142,11 +149,6 @@ def decompose(confidences, correct, pairing: str = "lowest",
                          reconstruction=float(reconstruction), pairing=pairing)
 
 
-def ce_rows(P, labels) -> np.ndarray:
-    """Per-row cross-entropy -log P[i, y_i], probabilities floored at 1e-12."""
-    return -np.log(np.maximum(P[np.arange(P.shape[0]), labels], PROB_FLOOR))
-
-
 def _one_hot_residual(P, labels) -> np.ndarray:
     residual = np.array(P, dtype=np.float64)
     residual[np.arange(residual.shape[0]), labels] -= 1.0
@@ -161,54 +163,57 @@ def mse_rows(P, labels) -> np.ndarray:
 
 class LogitBatch:
     """The temperature-free part of the batched losses, computed once:
-    float logits ``Z``, integer ``labels``, the row-max shifted logits
-    ``S = Z - max``, the row index ``rows`` and, on first use, the
-    ``predicted`` labels.
+    integer ``labels``, the row-max shifted logits ``S = Z - max`` (finite,
+    see :func:`~calib_lab.tensor_math.finite_shift`), the row index
+    ``rows`` and, on first use, the ``predicted`` labels.
 
-    Build one with :meth:`prepare`; :meth:`take` selects rows without
-    repeating any of that work, so a trainer prepares its data once and
-    only ``exp(S / tau)`` and its normalisation run per step.
+    The logits themselves are not kept: with E = exp(S / tau) the top
+    score is c = 1 / sum E, since the predicted class has S = 0, and the
+    softmax-weighted mean logit enters every derivative only through
+    z_pred - zbar = -sum_c p_c S_c. Build one with :meth:`prepare`;
+    :meth:`take` selects rows without repeating any of that work, so a
+    trainer prepares its data once and only E and its row sums run per step.
     """
 
-    def __init__(self, Z, labels, S, rows, predicted=None):
-        self.Z, self.labels, self.S, self.rows = Z, labels, S, rows
+    def __init__(self, labels, S, rows, predicted=None):
+        self.labels, self.S, self.rows = labels, S, rows
         self._predicted = predicted
 
     @classmethod
     def prepare(cls, Z, labels) -> "LogitBatch":
-        """Check an (n, C) logit matrix and derive everything but the softmax."""
-        Z = check_logits(Z)
-        return cls(Z, np.asarray(labels, dtype=np.int64), shift_rows(Z), np.arange(Z.shape[0]))
+        """Check an (n, C) logit matrix and derive everything but E."""
+        S = finite_shift(check_logits(Z))
+        return cls(np.asarray(labels, dtype=np.int64), S, np.arange(S.shape[0]))
 
     @property
     def predicted(self) -> np.ndarray:
-        # Only the CA loss reads it, so it is computed when first asked for.
+        # Only the CA loss reads it, so it is computed when first asked for. The row
+        # max is the only entry that the shift sends to 0, so argmax S is argmax Z.
         if self._predicted is None:
-            self._predicted = predicted_labels(self.Z)
+            self._predicted = predicted_labels(self.S)
         return self._predicted
 
     def take(self, idx) -> "LogitBatch":
         """The rows at ``idx`` (an index array or a slice)."""
-        Z = self.Z[idx]
-        return LogitBatch(Z, self.labels[idx], self.S[idx], np.arange(Z.shape[0]),
-                          self.predicted[idx])
-
-    def softmax(self, taus, out=None) -> np.ndarray:
-        """softmax(z_i / tau_i) of every row, as ``row_softmax(Z, taus)``
-        gives it; ``out=self.S`` overwrites the shifted logits."""
-        return softmax_shifted(self.S, tau_column(taus, self.Z.shape[0]), out=out)
+        S = self.S[idx]
+        predicted = None if self._predicted is None else self._predicted[idx]
+        return LogitBatch(self.labels[idx], S, np.arange(S.shape[0]), predicted)
 
 
-def _tempered(Z, labels, taus) -> tuple[LogitBatch, np.ndarray]:
-    """The prepared batch and softmax(z_i / tau_i) of its rows. A
-    LogitBatch carries its own labels. An array input is prepared here,
-    and the softmax overwrites its shifted logits, which nothing else reads."""
+def _batch(Z, labels) -> LogitBatch:
+    """A LogitBatch as given (it carries its own labels), or one prepared here."""
     if isinstance(Z, LogitBatch):
         if labels is not None:
             raise InvalidInputError("a LogitBatch carries its own labels; pass labels=None")
-        return Z, Z.softmax(taus)
-    b = LogitBatch.prepare(Z, labels)
-    return b, b.softmax(taus, out=b.S)
+        return Z
+    return LogitBatch.prepare(Z, labels)
+
+
+def _exp_rows(b: LogitBatch, taus, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """E = exp(S_i / tau_i) of every row, into ``out`` (may be b.S) or a new
+    array, and the row sums of E."""
+    E = exp_shifted(b.S, tau_column(taus, b.S.shape[0]), out)
+    return E, E.sum(axis=1)
 
 
 def loss_values(Z, labels, taus, kind: LossKind,
@@ -216,13 +221,19 @@ def loss_values(Z, labels, taus, kind: LossKind,
     """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
     ``taus`` is a scalar or one temperature per row. ``Z`` is a logit
     matrix, or a :class:`LogitBatch` with ``labels=None``."""
-    b, P = _tempered(Z, labels, taus)
+    b = _batch(Z, labels)
+    if kind is LossKind.CA:
+        # Correctness of the tau-invariant prediction, read before S may be overwritten.
+        correct = b.predicted == b.labels
+    # A batch prepared here belongs to this call, so E overwrites its S.
+    E, total = _exp_rows(b, taus, out=None if b is Z else b.S)
     if kind is LossKind.CE:
-        return ce_rows(P, b.labels)
+        return -np.log(np.maximum(E[b.rows, b.labels] / total, PROB_FLOOR))
     if kind is LossKind.MSE:
-        return mse_rows(P, b.labels)
-    # CA: compare the top score against correctness of the tau-invariant prediction.
-    return _discrepancy(P[b.rows, b.predicted] - (b.predicted == b.labels), mode)
+        E /= total[:, None]
+        return mse_rows(E, b.labels)
+    # CA: the top score 1 / sum E against correctness.
+    return _discrepancy(1.0 / total - correct, mode)
 
 
 def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
@@ -230,34 +241,34 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     """Analytic derivative of the per-sample loss with respect to its
     temperature.
 
-    With p = softmax(z / tau) the chain rule gives
-    dp_c/dtau = -(p_c / tau^2) * (z_c - sum_j p_j z_j), which is folded
-    into each loss; the cross-entropy derivative is zero in the floored
-    region. ``Z`` is a logit matrix, or a :class:`LogitBatch` with
+    With E = exp(S / tau) and p = E / sum E, dE_c/dtau = -(S_c / tau^2) E_c,
+    so dp_c/dtau = -(p_c / tau^2) * (S_c - m) for m = sum_c p_c S_c <= 0, and
+    the top score c = 1 / sum E has dc/dtau = (c / tau^2) * m. These are
+    folded into each loss; the cross-entropy derivative is zero in the
+    floored region. ``Z`` is a logit matrix, or a :class:`LogitBatch` with
     ``labels=None``.
     """
-    b, P = _tempered(Z, labels, taus)
-    Z, labels, idx = b.Z, b.labels, b.rows
-    zbar = np.sum(P * Z, axis=1)
+    b = _batch(Z, labels)
+    S, labels, idx = b.S, b.labels, b.rows
+    E, total = _exp_rows(b, taus)
+    m = np.einsum("ij,ij->i", E, S) / total
     taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus
 
     if kind is LossKind.CE:
         # A floored row may overflow here; its value is discarded below.
         with np.errstate(over="ignore"):
-            grad = (Z[idx, labels] - zbar) / tau_sq
-        return np.where(P[idx, labels] > PROB_FLOOR, grad, 0.0)
+            grad = (S[idx, labels] - m) / tau_sq
+        return np.where(E[idx, labels] / total > PROB_FLOOR, grad, 0.0)
     if kind is LossKind.MSE:
-        residual = _one_hot_residual(P, labels)
-        # Z - zbar overflows only to -inf and only where P = 0; clamped, those terms stay 0.
-        with np.errstate(over="ignore"):
-            gap = np.maximum(Z - zbar[:, None], -np.finfo(float).max)
-        dP = -(P / tau_sq[..., None]) * gap
+        E /= total[:, None]
+        residual = _one_hot_residual(E, labels)
+        # S and m lie in [-finfo.max, 0], so S - m cannot overflow.
+        dP = -(E / tau_sq[..., None]) * (S - m[:, None])
         return np.sum(2.0 * residual * dP, axis=1)
-    predicted = b.predicted
-    c_hat = P[idx, predicted]
-    dc_dtau = -(c_hat / tau_sq) * (Z[idx, predicted] - zbar)
-    indicator = (predicted == labels).astype(np.float64)
+    c_hat = 1.0 / total
+    dc_dtau = (c_hat / tau_sq) * m
+    indicator = (b.predicted == labels).astype(np.float64)
     if mode is DiscrepancyMode.L1:
         # |c - I|: c > I for wrong samples, c < I for correct ones.
         sign = np.where(indicator == 1.0, -1.0, 1.0)

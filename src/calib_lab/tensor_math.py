@@ -5,10 +5,13 @@ an optional temperature (a scalar or one per row). It checks the logits,
 subtracts the row max (``shift_rows``) and hands the result to
 ``softmax_shifted``, the one softmax core, which callers holding
 already-shifted logits use directly; ``top_confidence`` reads the top
-score from its exponentials unnormalised. A single sample is a one-row
-matrix. ``predicted_labels`` is the one definition of the predicted class
-(argmax of the logits, which no temperature can move). Probabilities
-destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
+score from their exponentials (``exp_shifted``) unnormalised.
+``finite_shift`` is the shift with -inf raised to the most negative
+float, for callers that multiply shifted logits by their weights. A
+single sample is a one-row matrix. ``predicted_labels`` is the one
+definition of the predicted class (argmax of the logits, which no
+temperature can move). Probabilities destined for a logarithm are
+clamped to ``PROB_FLOOR`` by the caller.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
         return np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
 
 
+def finite_shift(Z: np.ndarray) -> np.ndarray:
+    """``shift_rows(Z)`` in a new array, with -inf raised to -finfo.max so
+    that every entry is finite and 0 * S stays 0. Its exponential at any
+    temperature below 2e305 is still an exact 0."""
+    S = shift_rows(Z)
+    return np.maximum(S, -np.finfo(float).max, out=S)
+
+
 def tau_column(taus, n: int) -> np.ndarray:
     """Checked temperatures shaped to divide n rows: a scalar stays a
     scalar, n temperatures become an (n, 1) column."""
@@ -51,7 +62,7 @@ def tau_column(taus, n: int) -> np.ndarray:
     return taus
 
 
-def _exp_shifted(S: np.ndarray, taus, out) -> np.ndarray:
+def exp_shifted(S: np.ndarray, taus, out) -> np.ndarray:
     """exp(S / tau) for row-max shifted logits S; a row's max entry is exactly 1."""
     if taus is not None:
         # S <= 0, so the quotient can only overflow to -inf, whose exponential is 0.
@@ -66,7 +77,7 @@ def softmax_shifted(S: np.ndarray, taus=None, out=None) -> np.ndarray:
     shifted logits S and temperatures from :func:`tau_column` (None for
     tau = 1). The result goes to ``out``, which may be S itself, or to a
     new array."""
-    E = _exp_shifted(S, taus, out)
+    E = exp_shifted(S, taus, out)
     E /= E.sum(axis=1, keepdims=True)
     return E
 
@@ -101,7 +112,7 @@ def top_confidence(Z, taus=None) -> np.ndarray:
     1 / sum_c exp(S_c / tau) for S = Z - row max: the predicted class has S = 0
     and exp(0) = 1, so this is ``row_softmax(Z, taus)`` at the argmax bit for bit."""
     S, taus = _checked_shift(Z, taus)
-    return 1.0 / _exp_shifted(S, taus, out=S).sum(axis=1)
+    return 1.0 / exp_shifted(S, taus, out=S).sum(axis=1)
 
 
 def top_k_indices(v, k: int) -> np.ndarray:
@@ -122,10 +133,8 @@ def softplus(x):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Element-wise logistic function, the derivative of softplus."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Element-wise logistic function, the derivative of softplus: with
+    e = exp(-|x|) <= 1, 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

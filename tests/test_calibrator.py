@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -374,3 +375,17 @@ def test_train_config_validation():
         train(d, TrainConfig(epochs=0))
     with pytest.raises(DomainError):
         train(d, TrainConfig(learning_rate=0.0))
+
+
+def test_training_peak_memory_is_within_two_and_a_half_logit_matrices():
+    # The prepared batch keeps only the shifted logits S; a step needs E = exp(S / tau)
+    # of its rows and the full-set loss one E for all of them, so training holds S,
+    # one gathered copy of it per epoch or one E, and (n, M*k) features.
+    d = generate(SynthConfig(n=10_000, n_classes=100, n_transforms=4, seed=6))
+    tracemalloc.start()
+    try:
+        train(d, TrainConfig(epochs=2, k=4, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * d.logits.nbytes

@@ -185,6 +185,20 @@ def test_params_bad_field_type_names_field(tmp_path, field, value):
         load_params(path)
 
 
+@pytest.mark.parametrize("field", ["b2", "W1"])
+def test_params_non_finite_value_names_field(tmp_path, field):
+    path = tmp_path / "params.json"
+    save_params(path, init_params(4, 1, 1, seed=0))
+    obj = json.loads(path.read_text())
+    if field == "b2":
+        obj["b2"] = float("inf")  # written as the JSON extension Infinity
+    else:
+        obj["W1"][2][0] = float("nan")  # written as NaN
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidInputError, match=f"'{field}'"):
+        load_params(path)
+
+
 def test_params_infinite_tau_min_is_refused(tmp_path):
     path = tmp_path / "params.json"
     save_params(path, init_params(4, 1, 1, seed=0))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from calib_lab.errors import DomainError
-from calib_lab.losses import (DiscrepancyMode, LossKind, ca_bounds, ca_loss_batch, ce_rows,
-                              decompose, dloss_dtau_batch, loss_values, mse_rows)
+from calib_lab.losses import (DiscrepancyMode, LossKind, ca_bounds, ca_loss_batch, decompose,
+                              dloss_dtau_batch, loss_values, mse_rows)
 from calib_lab.tensor_math import row_softmax
 
 L1 = DiscrepancyMode.L1
@@ -115,13 +115,15 @@ def test_decompose_below_half_accuracy_is_diagnostic_only():
 # --- CE / MSE ---
 
 def test_ce_loss_values():
-    one_hot = np.array([1.0, 0.0, 0.0])
-    assert ce_rows(np.array([one_hot]), [0])[0] == pytest.approx(0.0, abs=1e-15)
-    assert ce_rows(np.full((1, 4), 0.25), [2])[0] == pytest.approx(np.log(4.0), abs=1e-15)
+    def ce(z, label):
+        return loss_values([z], [label], 1.0, LossKind.CE)[0]
+    # exp(-1e308) is an exact 0, so this row's softmax is the one-hot [1, 0, 0]
+    assert ce([0.0, -1e308, -1e308], 0) == pytest.approx(0.0, abs=1e-15)
+    assert ce([0.0] * 4, 2) == pytest.approx(np.log(4.0), abs=1e-15)
     # frozen from the arbitrary-precision softmax oracle
-    assert ce_rows(np.array([ORACLE_P]), [0])[0] == pytest.approx(1.5066501979839817, abs=1e-15)
+    assert ce([1.0, 2.0, 0.1, 0.05], 0) == pytest.approx(1.5066501979839817, abs=1e-15)
     # floored at 1e-12 instead of diverging
-    assert ce_rows(np.array([[0.0, 1.0]]), [0])[0] == pytest.approx(-np.log(1e-12), abs=1e-9)
+    assert ce([-1e308, 0.0], 0) == pytest.approx(-np.log(1e-12), abs=1e-9)
 
 
 def test_mse_loss_values():
@@ -151,6 +153,17 @@ def test_dloss_dtau_matches_central_differences():
                   - loss_values([z], [label], [tau - h], kind, mode)[0]) / (2 * h)
             assert abs(analytic - fd) / max(1.0, abs(analytic)) < 1e-5
             checked += 1
+
+
+@pytest.mark.parametrize("kind,mode", [(LossKind.CA, L1), (LossKind.CA, SQ),
+                                       (LossKind.CE, L1), (LossKind.MSE, L1)])
+def test_dloss_dtau_is_shift_invariant_bit_for_bit(kind, mode):
+    # Dyadic logits: z + 2**40 is exact, and so is its shift back by the row max.
+    z = np.array([2.0, 0.25, -1.0, 0.75])
+    expected = dloss_dtau_batch([z], [1], [0.7], kind, mode)
+    shifted = dloss_dtau_batch([z + 2.0 ** 40], [1], [0.7], kind, mode)
+    assert expected[0] != 0.0
+    assert shifted.tobytes() == expected.tobytes()
 
 
 def test_dloss_dtau_constant_logits_is_zero():

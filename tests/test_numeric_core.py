@@ -12,7 +12,7 @@ from calib_lab.baselines import GlobalTemp, apply_global, fit_global_temperature
 from calib_lab.calibrator import feature_matrix
 from calib_lab.errors import InvalidInputError
 from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch,
-                             loss_values)
+                             loss_values, mse_rows)
 from calib_lab.records import Dataset, correctness_view, wrongness_ratios
 from calib_lab.tensor_math import row_softmax, top_confidence
 
@@ -76,6 +76,36 @@ def test_extreme_logits_in_global_temperature_scaling():
         fitted = fit_global_temperature(d)
     assert np.all(np.isfinite(conf)) and np.isfinite(nll) and np.isfinite(fitted.tau)
     np.testing.assert_array_equal(conf, np.ones(len(EXTREME)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_loss_values_equal_the_softmax_formulas_bit_for_bit(data):
+    """loss_values reads the top score and the label score from E = exp(S / tau)
+    and its row sums; each value equals its formula on row_softmax exactly."""
+    extreme = data.draw(st.booleans())
+    n, c = data.draw(st.integers(1, 6)), 3 if extreme else data.draw(st.integers(2, 6))
+    magnitude = data.draw(st.sampled_from([1.0, 50.0, 1e300]))
+    Z = np.array(data.draw(st.lists(st.lists(st.floats(-magnitude, magnitude),
+                                             min_size=c, max_size=c),
+                                    min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)))
+    if extreme:
+        Z = np.vstack([EXTREME, Z])
+        labels = np.concatenate([data.draw(st.lists(st.integers(0, 2), min_size=3,
+                                                    max_size=3)), labels])
+    per_row = st.lists(st.floats(0.05, 50.0), min_size=len(Z), max_size=len(Z)).map(np.array)
+    taus = data.draw(st.one_of(st.floats(0.05, 50.0), per_row))
+    P = row_softmax(Z, taus)
+    rows = np.arange(len(Z))
+    residual = top_confidence(Z, taus) - (np.argmax(Z, axis=1) == labels)
+    assert np.array_equal(loss_values(Z, labels, taus, LossKind.CA, DiscrepancyMode.L1),
+                          np.abs(residual))
+    assert np.array_equal(loss_values(Z, labels, taus, LossKind.CA,
+                                      DiscrepancyMode.SQUARED_L2), residual * residual)
+    assert np.array_equal(loss_values(Z, labels, taus, LossKind.CE),
+                          -np.log(np.maximum(P[rows, labels], 1e-12)))
+    assert np.array_equal(loss_values(Z, labels, taus, LossKind.MSE), mse_rows(P, labels))
 
 
 # --- the prepared logit batch is the array call, bit for bit ---

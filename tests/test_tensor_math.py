@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calib_lab.errors import DomainError, InvalidInputError
-from calib_lab.tensor_math import (predicted_labels, row_softmax, softplus, top_confidence,
-                                   top_k_indices)
+from calib_lab.tensor_math import (predicted_labels, row_softmax, sigmoid, softplus,
+                                   top_confidence, top_k_indices)
 
 # Softmax of [1.0, 2.0, 0.1, 0.05], computed with a 60-digit
 # arbitrary-precision oracle ahead of the build.
@@ -111,3 +111,14 @@ def test_top_confidence_decreasing_in_tau():
 
 def test_softplus_at_zero():
     assert abs(softplus(np.array(0.0)) - np.log(2.0)) < 1e-15
+
+
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit():
+    x = np.concatenate([np.random.default_rng(7).normal(0.0, 5.0, 100_000),
+                        [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    assert sigmoid(x).tobytes() == expected.tobytes()
