@@ -3,9 +3,9 @@
 Per record, the softmax vectors of the M transform channels are
 gathered at the indices of the k largest original logits and
 concatenated (channel-major) into an M*k feature vector. A small fully
-connected network (input -> 5 ReLU -> 1 by default, an extra 5-node
-hidden layer behind a config switch) maps the features to a positive
-temperature via softplus(o) + tau_min. The temperature rescales the
+connected network, a list of (W, b) layers (input -> 5 ReLU -> 1 by
+default, an extra 5-node hidden layer behind a config switch), maps the
+features to a positive temperature via softplus(o) + tau_min. The temperature rescales the
 original logits only; transform outputs never touch the logits.
 
 Training is plain minibatch gradient descent with Adam on one of the
@@ -29,9 +29,9 @@ DEFAULT_TAU_MIN = 0.05
 
 
 def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """Float64 copy of a weight array, named by its parameter-file key.
-    Only integers and floats are numbers here: strings, bools and
-    objects are refused, not coerced."""
+    """Read-only float64 copy of a weight array, named by its
+    parameter-file key. Only integers and floats are numbers here:
+    strings, bools and objects are refused, not coerced."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:  # ragged nesting
@@ -44,59 +44,69 @@ def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
                                 f"expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"parameter field {name!r} contains non-finite values")
+    arr.setflags(write=False)
     return arr
+
+
+# Parameter-file keys of each (W, b) layer, input to output; the middle
+# pair is the optional second hidden layer.
+LAYER_KEYS = (("W1", "b1"), ("W1b", "b1b"), ("W2", "b2"))
+
+
+def layer_keys(depth: int) -> tuple[tuple[str, str], ...]:
+    """File keys of the layers of a ``depth``-layer net (2 or 3)."""
+    if depth not in (2, 3):
+        raise InvalidInputError(f"the network has 2 or 3 layers, got {depth}")
+    return LAYER_KEYS if depth == 3 else (LAYER_KEYS[0], LAYER_KEYS[-1])
 
 
 @dataclass(frozen=True)
 class CalibratorParams:
     """Weights of the temperature network plus gather/shape metadata.
 
-    ``w1b``/``b1b`` hold the optional second hidden layer and stay None
-    for the default single-hidden-layer architecture. Arrays are
-    read-only once constructed.
+    ``layers`` holds one (W, b) pair per linear layer, input to output:
+    M*k -> 5 [-> 5] -> 1, so W is (fan_out, fan_in) and the output bias
+    is a 1-vector. Arrays are read-only once constructed.
     """
 
-    w1: np.ndarray   # (HIDDEN_WIDTH, M*k)
-    b1: np.ndarray   # (HIDDEN_WIDTH,)
-    w2: np.ndarray   # (1, HIDDEN_WIDTH)
-    b2: float
+    layers: tuple
     tau_min: float
     n_classes: int
     n_transforms: int
     k: int
-    w1b: np.ndarray | None = None  # (HIDDEN_WIDTH, HIDDEN_WIDTH)
-    b1b: np.ndarray | None = None  # (HIDDEN_WIDTH,)
 
     def __post_init__(self):
         # Copy before freezing so caller-owned arrays keep their flags.
-        w1 = _weights("W1", self.w1, (HIDDEN_WIDTH, self.n_transforms * self.k))
-        b1 = _weights("b1", self.b1, (HIDDEN_WIDTH,))
-        w2 = _weights("W2", self.w2, (1, HIDDEN_WIDTH))
-        if (self.w1b is None) != (self.b1b is None):
-            raise InvalidInputError("w1b and b1b must be provided together")
-        w1b = b1b = None
-        if self.w1b is not None:
-            w1b = _weights("W1b", self.w1b, (HIDDEN_WIDTH, HIDDEN_WIDTH))
-            b1b = _weights("b1b", self.b1b, (HIDDEN_WIDTH,))
-        if not np.isfinite(self.b2):
-            raise InvalidInputError(f"parameter field 'b2' is not finite, got {self.b2}")
-        all_values = [w1, b1, w2] + ([w1b, b1b] if w1b is not None else [])
+        keys = layer_keys(len(self.layers))
+        widths = (self.input_width,) + (HIDDEN_WIDTH,) * (len(keys) - 1) + (1,)
+        layers = tuple((_weights(w_key, w, (fan_out, fan_in)), _weights(b_key, b, (fan_out,)))
+                       for (w_key, b_key), (w, b), fan_in, fan_out
+                       in zip(keys, self.layers, widths, widths[1:]))
         if not (np.isfinite(self.tau_min) and self.tau_min > 0):
             raise InvalidInputError(f"tau_min must be finite and > 0, got {self.tau_min}")
         if not 1 <= self.k <= self.n_classes:
             raise InvalidInputError(f"k={self.k} outside [1, {self.n_classes}]")
-        for a in all_values:
-            a.setflags(write=False)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "b2", float(self.b2))
-        object.__setattr__(self, "w1b", w1b)
-        object.__setattr__(self, "b1b", b1b)
+        object.__setattr__(self, "layers", layers)
 
     @property
     def input_width(self) -> int:
         return self.n_transforms * self.k
+
+    @property
+    def w1(self) -> np.ndarray:
+        return self.layers[0][0]
+
+    @property
+    def b1(self) -> np.ndarray:
+        return self.layers[0][1]
+
+    @property
+    def w2(self) -> np.ndarray:
+        return self.layers[-1][0]
+
+    @property
+    def b2(self) -> float:
+        return float(self.layers[-1][1][0])
 
 
 @dataclass(frozen=True)
@@ -149,16 +159,6 @@ class TrainingTrace:
         return float(self.losses[-1])
 
 
-@dataclass
-class ParamGradients:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-    w1b: np.ndarray | None = None
-    b1b: np.ndarray | None = None
-
-
 def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
     """Gather each transform channel at every row's top-k logit indices;
     channels are concatenated in order, each in rank order, (n, M*k)."""
@@ -173,19 +173,20 @@ def feature_matrix(d: Dataset, k: int) -> np.ndarray:
 
 
 def _forward_trace(p: CalibratorParams, F: np.ndarray):
-    """Forward pass keeping intermediates for backprop."""
-    a1 = F @ p.w1.T + p.b1
-    h1 = np.maximum(a1, 0.0)
-    if p.w1b is not None:
-        a2 = h1 @ p.w1b.T + p.b1b
-        h_last = np.maximum(a2, 0.0)
-    else:
-        a2 = None
-        h_last = h1
-    o = h_last @ p.w2.T + p.b2
-    o = o[:, 0]
-    tau = softplus(o) + p.tau_min
-    return a1, h1, a2, h_last, o, tau
+    """Forward pass keeping each layer's input for backprop: returns
+    those inputs, the output pre-activation o and the temperatures."""
+    h = F
+    inputs = []
+    for w, b in p.layers[:-1]:
+        inputs.append(h)
+        # a stays alive until the next layer's replaces it: freeing it at once
+        # left cli_desk's peak RSS 1.7 MB higher (heap layout, not live data).
+        a = h @ w.T + b
+        h = np.maximum(a, 0.0)
+    inputs.append(h)
+    w, b = p.layers[-1]
+    o = (h @ w.T + b)[:, 0]
+    return inputs, o, softplus(o) + p.tau_min
 
 
 def forward_batch(p: CalibratorParams, F: np.ndarray) -> np.ndarray:
@@ -193,7 +194,7 @@ def forward_batch(p: CalibratorParams, F: np.ndarray) -> np.ndarray:
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[1] != p.input_width:
         raise DomainError(f"features must have shape (n, {p.input_width}), got {F.shape}")
-    return _forward_trace(p, F)[5]
+    return _forward_trace(p, F)[2]
 
 
 def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -216,36 +217,27 @@ def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nda
 
 def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                 kind: LossKind = LossKind.CA,
-                mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> ParamGradients:
-    """Exact gradient of the mean batch loss with respect to every
-    parameter: d(loss)/d(tau) chained through softplus, the linear
-    layers, and ReLU (derivative at 0 taken as 0). The batch gradient is
-    the mean of per-sample gradients. ``Z`` may be a
+                mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> list:
+    """Exact gradient of the mean batch loss as (dW, db) pairs laid out
+    like ``p.layers``: d(loss)/d(tau) chained through softplus, the
+    linear layers, and ReLU (derivative at 0 taken as 0). The batch
+    gradient is the mean of per-sample gradients. ``Z`` may be a
     :class:`~calib_lab.losses.LogitBatch` with ``labels=None``."""
     F = np.asarray(F, dtype=np.float64)
     if F.shape[0] == 0:
         raise DomainError("batch must be non-empty")
     n = F.shape[0]
-    a1, h1, a2, h_last, o, tau = _forward_trace(p, F)
-    dl_dtau = dloss_dtau_batch(Z, labels, tau, kind, mode)
-    g_o = dl_dtau * sigmoid(o)                       # (n,)
-
-    g_w2 = (g_o @ h_last)[None, :] / n               # (1, hidden)
-    g_b2 = float(np.mean(g_o))
-    g_h = g_o[:, None] * p.w2                        # (n, hidden)
-
-    if p.w1b is not None:
-        g_a2 = g_h * (a2 > 0)
-        g_w1b = g_a2.T @ h1 / n
-        g_b1b = g_a2.mean(axis=0)
-        g_h1 = g_a2 @ p.w1b
-    else:
-        g_w1b = g_b1b = None
-        g_h1 = g_h
-    g_a1 = g_h1 * (a1 > 0)
-    g_w1 = g_a1.T @ F / n
-    g_b1 = g_a1.mean(axis=0)
-    return ParamGradients(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2, w1b=g_w1b, b1b=g_b1b)
+    inputs, o, tau = _forward_trace(p, F)
+    # g: d(loss)/d(pre-activation) of the current layer, (n, fan_out).
+    g = (dloss_dtau_batch(Z, labels, tau, kind, mode) * sigmoid(o))[:, None]
+    grads = [None] * len(p.layers)
+    for i in reversed(range(len(p.layers))):
+        h = inputs[i]
+        grads[i] = (g.T @ h / n, g.mean(axis=0))
+        if i:
+            # A ReLU output is > 0 exactly where its input is.
+            g = (g @ p.layers[i][0]) * (h > 0)
+    return grads
 
 
 def softplus_inverse(y: float) -> float:
@@ -260,21 +252,16 @@ def init_params(n_classes: int, n_transforms: int, k: int, *, tau_min: float = D
     """Seeded uniform [-a, a] weight init with a = sqrt(6/(fan_in+fan_out));
     biases start at zero."""
     rng = np.random.default_rng(seed)
-    d_in = n_transforms * k
 
     def uniform_init(fan_in, fan_out):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-a, a, size=(fan_out, fan_in))
 
-    w1 = uniform_init(d_in, HIDDEN_WIDTH)
-    w1b = b1b = None
-    if two_hidden:
-        w1b = uniform_init(HIDDEN_WIDTH, HIDDEN_WIDTH)
-        b1b = np.zeros(HIDDEN_WIDTH)
-    w2 = uniform_init(HIDDEN_WIDTH, 1)
-    return CalibratorParams(w1=w1, b1=np.zeros(HIDDEN_WIDTH), w2=w2, b2=0.0,
-                            tau_min=tau_min, n_classes=n_classes, n_transforms=n_transforms,
-                            k=k, w1b=w1b, b1b=b1b)
+    widths = (n_transforms * k,) + (HIDDEN_WIDTH,) * (2 if two_hidden else 1) + (1,)
+    layers = [(uniform_init(fan_in, fan_out), np.zeros(fan_out))
+              for fan_in, fan_out in zip(widths, widths[1:])]
+    return CalibratorParams(layers=layers, tau_min=tau_min, n_classes=n_classes,
+                            n_transforms=n_transforms, k=k)
 
 
 def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k: int,
@@ -284,41 +271,38 @@ def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k
         raise DomainError(f"tau must exceed tau_min={tau_min}")
     d_in = n_transforms * k
     return CalibratorParams(
-        w1=np.zeros((HIDDEN_WIDTH, d_in)), b1=np.zeros(HIDDEN_WIDTH),
-        w2=np.zeros((1, HIDDEN_WIDTH)), b2=softplus_inverse(tau - tau_min),
+        layers=[(np.zeros((HIDDEN_WIDTH, d_in)), np.zeros(HIDDEN_WIDTH)),
+                (np.zeros((1, HIDDEN_WIDTH)), [softplus_inverse(tau - tau_min)])],
         tau_min=tau_min, n_classes=n_classes, n_transforms=n_transforms, k=k)
 
 
 class _FlatParams:
     """The weights of a CalibratorParams in one float64 vector ``theta``.
 
-    ``w1``, ``b1``, ``w2``, ``b2`` (and ``w1b``, ``b1b``) are views of
-    ``theta`` with the shapes of the CalibratorParams fields, so
-    :func:`grad_params` and :func:`batch_loss` read it like a
-    CalibratorParams while the optimiser updates ``theta`` in place.
+    ``layers`` holds (W, b) views of ``theta`` shaped like the
+    CalibratorParams layers, so :func:`grad_params` and
+    :func:`batch_loss` read it like a CalibratorParams while the
+    optimiser updates ``theta`` in place.
     """
 
     def __init__(self, p: CalibratorParams):
         self.template = p
         self.tau_min = p.tau_min
         self.input_width = p.input_width
-        self.names = ("w1", "b1", "w2", "b2") + (("w1b", "b1b") if p.w1b is not None else ())
-        self.theta = np.concatenate([np.ravel(getattr(p, name)) for name in self.names])
-        self.w1b = self.b1b = None
-        start = 0
-        for name in self.names:
-            shape = np.shape(getattr(p, name))
-            size = int(np.prod(shape))
-            setattr(self, name, self.theta[start:start + size].reshape(shape))
-            start += size
+        arrays = [a for layer in p.layers for a in layer]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        parts = np.split(self.theta, np.cumsum([a.size for a in arrays])[:-1])
+        views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+        self.layers = tuple(zip(views[::2], views[1::2]))
 
     def params(self) -> CalibratorParams:
         """A frozen, validated copy of the current weights."""
-        return replace(self.template, **{name: getattr(self, name) for name in self.names})
+        return replace(self.template, layers=self.layers)
 
-    def flat(self, g: ParamGradients) -> np.ndarray:
-        """Gradients laid out like ``theta``."""
-        return np.concatenate([np.ravel(getattr(g, name)) for name in self.names])
+    @staticmethod
+    def flat(grads) -> np.ndarray:
+        """(dW, db) pairs laid out like ``theta``."""
+        return np.concatenate([a.ravel() for layer in grads for a in layer])
 
 
 def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTrace]:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BandRow, KSweepRow, SurfaceGrid
-from .calibrator import CalibratorParams, TrainingTrace
+from .calibrator import CalibratorParams, TrainingTrace, layer_keys
 from .errors import DatasetFormatError, InvalidInputError, UnsupportedVersionError
 from .metrics import MetricsReport
 from .records import PROB_SUM_TOL, Dataset
@@ -154,11 +154,10 @@ def load_dataset(path) -> Dataset:
 
 def save_params(path, p: CalibratorParams) -> None:
     obj = {"version": PARAMS_VERSION, "C": p.n_classes, "M": p.n_transforms, "k": p.k,
-           "tau_min": p.tau_min, "W1": p.w1.tolist(), "b1": p.b1.tolist(),
-           "W2": p.w2.tolist(), "b2": p.b2}
-    if p.w1b is not None:
-        obj["W1b"] = p.w1b.tolist()
-        obj["b1b"] = p.b1b.tolist()
+           "tau_min": p.tau_min}
+    for keys, layer in zip(layer_keys(len(p.layers)), p.layers):
+        obj.update((key, a.tolist()) for key, a in zip(keys, layer))
+    obj["b2"] = p.b2  # the output bias is written as a number
     with _atomic_open(path) as handle:
         json.dump(obj, handle, indent=1)
         handle.write("\n")
@@ -176,26 +175,25 @@ def load_params(path) -> CalibratorParams:
     if version != PARAMS_VERSION:
         raise UnsupportedVersionError(f"unsupported parameter file version {version!r}, "
                                       f"expected {PARAMS_VERSION}")
-    for key in ("C", "M", "k", "tau_min", "W1", "b1", "W2", "b2"):
+    keys = layer_keys(3 if "W1b" in obj or "b1b" in obj else 2)
+    for key in ("C", "M", "k", "tau_min") + sum(keys, ()):
         if key not in obj:
             raise InvalidInputError(f"parameter file is missing field {key!r}")
-    c, m, k = obj["C"], obj["M"], obj["k"]
+    c, m, k, tau_min = obj["C"], obj["M"], obj["k"], obj["tau_min"]
     # bool is an int subclass, so JSON true/false must be rejected by name.
     for name in ("C", "M", "k"):
         if not isinstance(obj[name], int) or isinstance(obj[name], bool) or obj[name] < 1:
             raise InvalidInputError(f"parameter field {name!r} must be a positive integer")
-    numbers = {}
-    for name in ("b2", "tau_min"):
-        if not isinstance(obj[name], (int, float)) or isinstance(obj[name], bool):
-            raise InvalidInputError(f"parameter field {name!r} must be a number")
-        try:
-            numbers[name] = float(obj[name])
-        except OverflowError as exc:  # an integer beyond the float range
-            raise InvalidInputError(f"parameter field {name!r} is beyond the float range") from exc
+    if not isinstance(tau_min, (int, float)) or isinstance(tau_min, bool):
+        raise InvalidInputError("parameter field 'tau_min' must be a number")
+    try:
+        tau_min = float(tau_min)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InvalidInputError("parameter field 'tau_min' is beyond the float range") from exc
+    layers = [[obj[w_key], obj[b_key]] for w_key, b_key in keys]
+    layers[-1][1] = [obj["b2"]]
     # CalibratorParams checks every weight array's values and shape.
-    return CalibratorParams(w1=obj["W1"], b1=obj["b1"], w2=obj["W2"], b2=numbers["b2"],
-                            tau_min=numbers["tau_min"], n_classes=c, n_transforms=m, k=k,
-                            w1b=obj.get("W1b"), b1b=obj.get("b1b"))
+    return CalibratorParams(layers=layers, tau_min=tau_min, n_classes=c, n_transforms=m, k=k)
 
 
 def _fmt(value: float, raw: bool) -> str:

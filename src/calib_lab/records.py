@@ -96,9 +96,6 @@ class Dataset:
     def n_transforms(self) -> int:
         return self.transform_probs.shape[1]
 
-    def __len__(self) -> int:
-        return self.n
-
     def subset(self, indices) -> "Dataset":
         """Selection-only subset; record contents are preserved bit-exactly."""
         indices = _int_array(indices, "subset indices")

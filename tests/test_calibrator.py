@@ -8,7 +8,7 @@ from calib_lab.calibrator import (CalibratorParams, TrainConfig, batch_loss, cal
                                   constant_temperature_params, feature_matrix, forward_batch,
                                   grad_params, init_params, train)
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError, TrainingDivergedError
+from calib_lab.errors import DomainError, InvalidInputError, TrainingDivergedError
 from calib_lab.losses import DiscrepancyMode, LossKind
 from calib_lab.metrics import ece
 from calib_lab.records import Dataset, correctness_view
@@ -73,8 +73,8 @@ def test_feature_matrix_rejects_large_k():
 def test_forward_zero_params_closed_form():
     p = constant_temperature_params(np.log(2.0) + 0.05, 4, 2, 3, tau_min=0.05)
     # zero weights and zero output bias: softplus(0) + tau_min
-    zero = CalibratorParams(w1=np.zeros((5, 6)), b1=np.zeros(5), w2=np.zeros((1, 5)),
-                            b2=0.0, tau_min=0.05, n_classes=4, n_transforms=2, k=3)
+    zero = CalibratorParams(layers=((np.zeros((5, 6)), np.zeros(5)), (np.zeros((1, 5)), [0.0])),
+                            tau_min=0.05, n_classes=4, n_transforms=2, k=3)
     f = np.random.default_rng(0).random(6)
     assert forward_batch(zero, f[None])[0] == pytest.approx(np.log(2.0) + 0.05, abs=1e-15)
     assert forward_batch(p, f[None])[0] == pytest.approx(forward_batch(zero, f[None])[0],
@@ -90,22 +90,24 @@ def test_forward_always_above_tau_min():
     assert np.all(np.isfinite(taus))
 
 
-def test_forward_matches_plain_arithmetic_oracle():
+@pytest.mark.parametrize("two_hidden", [False, True])
+def test_forward_matches_plain_arithmetic_oracle(two_hidden):
     rng = np.random.default_rng(22)
     for seed in range(5):
-        p = init_params(6, 2, 3, seed=seed)
+        p = init_params(6, 2, 3, seed=seed, two_hidden=two_hidden)
+        p = replace(p, layers=[(w, rng.normal(0, 0.5, b.shape)) for w, b in p.layers])
         f = rng.random(6)
-        # independent re-implementation with plain loops
-        hidden = []
-        for i in range(5):
-            acc = p.b1[i]
-            for j in range(6):
-                acc += p.w1[i, j] * f[j]
-            hidden.append(max(acc, 0.0))
-        out = p.b2
-        for i in range(5):
-            out += p.w2[0, i] * hidden[i]
-        expected = np.log1p(np.exp(out)) + p.tau_min
+        # independent re-implementation with plain loops; ReLU on every layer but the last
+        values = list(f)
+        for depth, (w, b) in enumerate(p.layers):
+            out = []
+            for i in range(w.shape[0]):
+                acc = b[i]
+                for j in range(w.shape[1]):
+                    acc += w[i, j] * values[j]
+                out.append(acc if depth == len(p.layers) - 1 else max(acc, 0.0))
+            values = out
+        expected = np.log1p(np.exp(values[0])) + p.tau_min
         assert abs(forward_batch(p, f[None])[0] - expected) < 1e-12
 
 
@@ -117,7 +119,7 @@ def test_forward_rejects_dimension_mismatch():
 
 def test_two_hidden_layer_variant():
     p = init_params(6, 2, 3, seed=1, two_hidden=True)
-    assert p.w1b is not None and p.w1b.shape == (5, 5)
+    assert len(p.layers) == 3 and p.layers[1][0].shape == (5, 5)
     f = np.random.default_rng(5).random(6)
     assert forward_batch(p, f[None])[0] >= p.tau_min
 
@@ -189,7 +191,7 @@ def test_grad_params_matches_finite_differences():
         assert abs(net_loss_oracle(values, F, Z, labels, kind, mode)
                    - batch_loss(p, F, Z, labels, kind, mode)) < 1e-12
         g = grad_params(p, F, Z, labels, kind, mode)
-        grads = {"w1": g.w1, "b1": g.b1, "w2": g.w2, "b2": np.array(g.b2)}
+        grads = {"w1": g[0][0], "b1": g[0][1], "w2": g[-1][0], "b2": g[-1][1]}
         for name in ("w1", "b1", "w2", "b2"):
             arr = values[name]
             it = np.nditer(np.atleast_1d(arr), flags=["multi_index"])
@@ -206,8 +208,14 @@ def test_grad_params_matches_finite_differences():
                 assert abs(analytic - fd) / max(1.0, abs(analytic)) < 1e-4
 
 
+def with_array(p, layer, part, value):
+    """``p`` with array ``part`` (0 = W, 1 = b) of layer ``layer`` replaced."""
+    layers = [list(pair) for pair in p.layers]
+    layers[layer][part] = value
+    return replace(p, layers=layers)
+
+
 def test_grad_params_two_hidden_matches_finite_differences():
-    from dataclasses import replace
     rng = np.random.default_rng(25)
     h = 1e-6
     for trial in range(6):
@@ -216,18 +224,19 @@ def test_grad_params_two_hidden_matches_finite_differences():
         Z = rng.normal(0, 1.5, (3, 5))
         labels = rng.integers(0, 5, 3)
         g = grad_params(p, F, Z, labels, LossKind.CA, SQ)
-        for name in ("w1", "b1", "w1b", "b1b", "w2"):
-            grad = np.atleast_1d(getattr(g, name))
-            base = getattr(p, name)
-            it = np.nditer(np.atleast_1d(base), flags=["multi_index"])
+        for layer, part in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]:
+            grad = g[layer][part]
+            base = p.layers[layer][part]
+            it = np.nditer(base, flags=["multi_index"])
             for _ in it:
                 i = it.multi_index
                 bumped = base.copy()
                 bumped[i] += h
-                up = batch_loss(replace(p, **{name: bumped}), F, Z, labels, LossKind.CA, SQ)
+                up = batch_loss(with_array(p, layer, part, bumped), F, Z, labels, LossKind.CA, SQ)
                 bumped = base.copy()
                 bumped[i] -= h
-                down = batch_loss(replace(p, **{name: bumped}), F, Z, labels, LossKind.CA, SQ)
+                down = batch_loss(with_array(p, layer, part, bumped), F, Z, labels,
+                                  LossKind.CA, SQ)
                 fd = (up - down) / (2 * h)
                 assert abs(grad[i] - fd) / max(1.0, abs(grad[i])) < 1e-4
 
@@ -237,17 +246,24 @@ def test_two_hidden_training_runs_and_is_deterministic():
     cfg = TrainConfig(epochs=4, seed=2, two_hidden=True)
     p1, t1 = train(d, cfg)
     p2, t2 = train(d, cfg)
-    assert p1.w1b is not None
-    assert p1.w1b.tobytes() == p2.w1b.tobytes()
+    assert len(p1.layers) == 3
+    assert p1.layers[1][0].tobytes() == p2.layers[1][0].tobytes()
     assert t1.losses.tobytes() == t2.losses.tobytes()
     assert np.all(np.isfinite(t1.losses))
 
 
 def test_params_constructor_does_not_freeze_caller_arrays():
     w1 = np.zeros((5, 4))
-    CalibratorParams(w1=w1, b1=np.zeros(5), w2=np.zeros((1, 5)), b2=0.0,
+    CalibratorParams(layers=((w1, np.zeros(5)), (np.zeros((1, 5)), [0.0])),
                      tau_min=0.05, n_classes=5, n_transforms=2, k=2)
     w1[0, 0] = 1.0  # caller's array stays writable
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_params_refuse_a_depth_other_than_two_or_three_layers(depth):
+    with pytest.raises(InvalidInputError, match=f"2 or 3 layers, got {depth}"):
+        CalibratorParams(layers=[(np.zeros((5, 5)), np.zeros(5))] * depth, tau_min=0.05,
+                         n_classes=5, n_transforms=1, k=5)
 
 
 def test_grad_zero_on_constant_logits():
@@ -256,7 +272,7 @@ def test_grad_zero_on_constant_logits():
     Z = np.full((4, 4), 0.7)
     labels = np.array([0, 1, 2, 3])
     g = grad_params(p, F, Z, labels, LossKind.CA, SQ)
-    assert np.all(g.w1 == 0) and np.all(g.w2 == 0) and g.b2 == 0
+    assert np.all(g[0][0] == 0) and np.all(g[-1][0] == 0) and np.all(g[-1][1] == 0)
 
 
 def test_batch_gradient_is_mean_of_per_sample_gradients():
@@ -268,8 +284,10 @@ def test_batch_gradient_is_mean_of_per_sample_gradients():
     g_batch = grad_params(p, F, Z, labels, LossKind.CA, SQ)
     singles = [grad_params(p, F[i:i + 1], Z[i:i + 1], labels[i:i + 1], LossKind.CA, SQ)
                for i in range(6)]
-    np.testing.assert_allclose(g_batch.w1, np.mean([s.w1 for s in singles], axis=0), atol=1e-15)
-    np.testing.assert_allclose(g_batch.b2, np.mean([s.b2 for s in singles]), atol=1e-15)
+    np.testing.assert_allclose(g_batch[0][0], np.mean([s[0][0] for s in singles], axis=0),
+                               atol=1e-15)
+    np.testing.assert_allclose(g_batch[-1][1], np.mean([s[-1][1] for s in singles], axis=0),
+                               atol=1e-15)
 
 
 # --- training ---
@@ -302,14 +320,15 @@ def reference_train(d, config):
     F, Z, labels = feature_matrix(d, config.k), d.logits, d.labels
     p = init_params(d.n_classes, d.n_transforms, config.k, tau_min=config.tau_min,
                     seed=config.seed, two_hidden=config.two_hidden)
-    names = ["w1", "b1", "w2", "b2"] + (["w1b", "b1b"] if config.two_hidden else [])
-    values = {name: np.array(getattr(p, name)) for name in names}
-    adam_m = {name: np.zeros_like(v) for name, v in values.items()}
-    adam_v = {name: np.zeros_like(v) for name, v in values.items()}
+    # Keyed by (layer, 0 for W or 1 for b).
+    values = {(i, j): np.array(a) for i, layer in enumerate(p.layers) for j, a in enumerate(layer)}
+    adam_m = {key: np.zeros_like(v) for key, v in values.items()}
+    adam_v = {key: np.zeros_like(v) for key, v in values.items()}
     rng = np.random.default_rng(config.seed + 1)
 
     def current():
-        return replace(p, **{name: values[name].copy() for name in names})
+        return replace(p, layers=[(values[i, 0].copy(), values[i, 1].copy())
+                                  for i in range(len(p.layers))])
 
     losses = [batch_loss(current(), F, Z, labels, config.loss, config.mode)]
     step = 0
@@ -321,12 +340,12 @@ def reference_train(d, config):
                                 config.loss, config.mode)
             step += 1
             bias1, bias2 = 1.0 - config.beta1 ** step, 1.0 - config.beta2 ** step
-            for name in names:
-                g = np.array(getattr(grads, name))
-                adam_m[name] = config.beta1 * adam_m[name] + (1.0 - config.beta1) * g
-                adam_v[name] = config.beta2 * adam_v[name] + (1.0 - config.beta2) * g * g
-                update = (adam_m[name] / bias1) / (np.sqrt(adam_v[name] / bias2) + config.adam_eps)
-                values[name] = values[name] - config.learning_rate * update
+            for i, j in values:
+                g = np.array(grads[i][j])
+                adam_m[i, j] = config.beta1 * adam_m[i, j] + (1.0 - config.beta1) * g
+                adam_v[i, j] = config.beta2 * adam_v[i, j] + (1.0 - config.beta2) * g * g
+                update = (adam_m[i, j] / bias1) / (np.sqrt(adam_v[i, j] / bias2) + config.adam_eps)
+                values[i, j] = values[i, j] - config.learning_rate * update
         losses.append(batch_loss(current(), F, Z, labels, config.loss, config.mode))
     return current(), np.array(losses)
 
@@ -341,10 +360,10 @@ def test_training_is_byte_identical_to_the_per_step_reference(loss, mode, two_hi
                       seed=4)
     params, trace = train(d, cfg)
     expected, expected_losses = reference_train(d, cfg)
-    for name in ("w1", "b1", "w2", "w1b", "b1b"):
-        got, want = getattr(params, name), getattr(expected, name)
-        assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
-    assert np.float64(params.b2).tobytes() == np.float64(expected.b2).tobytes()
+    assert len(params.layers) == len(expected.layers) == (3 if two_hidden else 2)
+    for i, (got, want) in enumerate(zip(params.layers, expected.layers)):
+        for j in range(2):
+            assert got[j].tobytes() == want[j].tobytes(), (i, j)
     assert trace.losses.tobytes() == expected_losses.tobytes()
 
 

@@ -1,11 +1,18 @@
 import csv
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from calib_lab.calibrator import constant_temperature_params
+from calib_lab.calibrator import (TrainConfig, calibrate_dataset, constant_temperature_params,
+                                  train)
 from calib_lab.cli import run
-from calib_lab.io import save_params
+from calib_lab.io import load_dataset, save_params
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Frozen raw metrics from the first recorded run of the pipeline
 # synth(n=2000, seed=0) -> train(ca, 10 epochs, seed 0) -> eval.
@@ -86,6 +93,38 @@ def test_apply_emits_per_record_rows(tmp_path):
     assert len(rows) == 120
     assert set(rows[0]) == {"record_id", "label", "predicted", "correct", "tau", "confidence"}
     assert all(float(r["tau"]) > 0 for r in rows)
+
+
+def test_train_two_hidden_then_apply_matches_the_library(tmp_path):
+    data = synth(tmp_path, "d.jsonl", n=300)
+    params, out = tmp_path / "p.json", tmp_path / "applied.csv"
+    assert run(["train", "--data", str(data), "--out", str(params), "--epochs", "3",
+                "--two-hidden"]) == 0
+    assert {"W1b", "b1b"} <= set(json.loads(params.read_text()))
+    assert run(["apply", "--data", str(data), "--params", str(params),
+                "--out", str(out)]) == 0
+    d = load_dataset(data)
+    taus, conf = calibrate_dataset(train(d, TrainConfig(epochs=3, two_hidden=True))[0], d)
+    rows = read_csv(out)
+    assert [r["tau"] for r in rows] == [repr(float(t)) for t in taus]
+    assert [r["confidence"] for r in rows] == [repr(float(c)) for c in conf]
+
+
+def test_python_m_calib_lab_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "x.jsonl"
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "calib_lab", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = module("synth", "--out", str(out), "--n", "5")
+    assert done.returncode == 0, done.stderr
+    assert len(out.read_text().splitlines()) == 5
+    failed = module("synth", "--out", str(tmp_path / "y.jsonl"), "--bogus")
+    assert failed.returncode == 2 and "--bogus" in failed.stderr
+    assert not (tmp_path / "y.jsonl").exists()
 
 
 def test_eval_global_ts(tmp_path):

@@ -137,7 +137,21 @@ def test_params_round_trip_two_hidden(tmp_path):
     path = tmp_path / "params.json"
     save_params(path, p)
     loaded = load_params(path)
-    assert loaded.w1b.tobytes() == p.w1b.tobytes()
+    assert len(loaded.layers) == 3
+    for got, want in zip(loaded.layers, p.layers):
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert list(json.loads(path.read_text()))[5:] == ["W1", "b1", "W1b", "b1b", "W2", "b2"]
+
+
+@pytest.mark.parametrize("missing", ["b1b", "W1b"])
+def test_params_lone_second_hidden_key_names_the_missing_key(tmp_path, missing):
+    path = tmp_path / "params.json"
+    save_params(path, init_params(6, 2, 3, seed=4, two_hidden=True))
+    obj = json.loads(path.read_text())
+    del obj[missing]
+    path.write_text(json.dumps(obj))
+    with pytest.raises(InvalidInputError, match=f"missing field '{missing}'"):
+        load_params(path)
 
 
 def test_params_version_check(tmp_path):
