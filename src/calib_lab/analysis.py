@@ -154,8 +154,6 @@ def k_sweep(train_set: Dataset, test_set: Dataset, k_values, config: TrainConfig
     rows = []
     for k in k_values:
         k = int(k)
-        if not 1 <= k <= train_set.n_classes:
-            raise DomainError(f"k={k} outside [1, {train_set.n_classes}]")
         params, _ = train(train_set, replace(config, k=k))
         _, conf = calibrate_dataset(params, test_set)
         rows.append(KSweepRow(

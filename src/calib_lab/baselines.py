@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import finite_shift, top_confidence
+from .tensor_math import shift_rows, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -41,7 +41,7 @@ def nll_objective(d: Dataset, tau: float) -> float:
 def fit_global_temperature(d: Dataset) -> GlobalTemp:
     """Best single temperature for a dataset under the CE objective."""
     # Finite even where a row spans more than the float64 range.
-    shifted = finite_shift(d.logits)
+    shifted = shift_rows(d.logits)
     label_z = shifted[np.arange(d.n), d.labels]
     buf = np.empty_like(shifted)
 

@@ -14,8 +14,9 @@ wrong vs. paired correct samples) plus a residual-confidence term
 (``e_plus``), and analytic d(loss)/d(temperature) for all three losses.
 
 The batched losses work from the row-max shifted logits S = Z - max z
-alone. With E = exp(S / tau) and p = E / sum E, the top score is
-c = 1 / sum E, because the predicted class has S = 0, and the mean
+of ``tensor_math.shift_rows`` alone, and take E = exp(S / tau) with its
+row sums from ``tensor_math.exp_rows``. With p = E / sum E, the top
+score is c = 1 / sum E, because the predicted class has S = 0, and the mean
 logit under p enters the derivatives as z_pred - zbar = -sum_c p_c S_c,
 a sum of terms of one sign instead of a difference of two large
 numbers. Only the MSE loss normalises E.
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_logits, exp_shifted, finite_shift,
-                          predicted_labels, tau_column)
+from .tensor_math import (PROB_FLOOR, check_logits, exp_rows, predicted_labels, shift_rows,
+                          tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -163,16 +164,17 @@ def mse_rows(P, labels) -> np.ndarray:
 
 class LogitBatch:
     """The temperature-free part of the batched losses, computed once:
-    integer ``labels``, the row-max shifted logits ``S = Z - max`` (finite,
-    see :func:`~calib_lab.tensor_math.finite_shift`), the row index
+    integer ``labels``, the row-max shifted logits ``S`` of
+    :func:`~calib_lab.tensor_math.shift_rows` (all finite), the row index
     ``rows`` and, on first use, the ``predicted`` labels.
 
-    The logits themselves are not kept: with E = exp(S / tau) the top
-    score is c = 1 / sum E, since the predicted class has S = 0, and the
+    The logits themselves are not kept: with E = exp(S / tau) and its row
+    sums from :func:`~calib_lab.tensor_math.exp_rows`, the top score is
+    c = 1 / sum E, since the predicted class has S = 0, and the
     softmax-weighted mean logit enters every derivative only through
     z_pred - zbar = -sum_c p_c S_c. Build one with :meth:`prepare`;
     :meth:`take` selects rows without repeating any of that work, so a
-    trainer prepares its data once and only E and its row sums run per step.
+    trainer prepares its data once and only ``exp_rows`` runs per step.
     """
 
     def __init__(self, labels, S, rows, predicted=None):
@@ -182,7 +184,7 @@ class LogitBatch:
     @classmethod
     def prepare(cls, Z, labels) -> "LogitBatch":
         """Check an (n, C) logit matrix and derive everything but E."""
-        S = finite_shift(check_logits(Z))
+        S = shift_rows(check_logits(Z))
         return cls(np.asarray(labels, dtype=np.int64), S, np.arange(S.shape[0]))
 
     @property
@@ -209,13 +211,6 @@ def _batch(Z, labels) -> LogitBatch:
     return LogitBatch.prepare(Z, labels)
 
 
-def _exp_rows(b: LogitBatch, taus, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """E = exp(S_i / tau_i) of every row, into ``out`` (may be b.S) or a new
-    array, and the row sums of E."""
-    E = exp_shifted(b.S, tau_column(taus, b.S.shape[0]), out)
-    return E, E.sum(axis=1)
-
-
 def loss_values(Z, labels, taus, kind: LossKind,
                 mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
     """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
@@ -226,7 +221,7 @@ def loss_values(Z, labels, taus, kind: LossKind,
         # Correctness of the tau-invariant prediction, read before S may be overwritten.
         correct = b.predicted == b.labels
     # A batch prepared here belongs to this call, so E overwrites its S.
-    E, total = _exp_rows(b, taus, out=None if b is Z else b.S)
+    E, total = exp_rows(b.S, tau_column(taus, b.S.shape[0]), out=None if b is Z else b.S)
     if kind is LossKind.CE:
         return -np.log(np.maximum(E[b.rows, b.labels] / total, PROB_FLOOR))
     if kind is LossKind.MSE:
@@ -250,7 +245,7 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     """
     b = _batch(Z, labels)
     S, labels, idx = b.S, b.labels, b.rows
-    E, total = _exp_rows(b, taus)
+    E, total = exp_rows(S, tau_column(taus, S.shape[0]))
     m = np.einsum("ij,ij->i", E, S) / total
     taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus

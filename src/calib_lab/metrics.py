@@ -13,21 +13,20 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, UndefinedMetricError
 from .losses import DiscrepancyMode, ca_loss_batch, check_pair
-from .records import NARROWLY_WRONG_THRESHOLD, Dataset, correctness_view, wrongness_ratios
+from .records import Dataset, correctness_view
 
 DEFAULT_BINS = 25
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One evaluation row: calibration metrics plus dataset diagnostics."""
+    """One evaluation row: calibration metrics, accuracy, record count and bins."""
 
     ece: float
     brier: float
     ks: float
     auroc: float
     accuracy: float
-    narrowly_wrong_fraction: float
     n: int
     bins: int
 
@@ -94,15 +93,6 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def narrowly_wrong_fraction(d: Dataset, threshold: float = NARROWLY_WRONG_THRESHOLD) -> float:
-    """Share of all samples that are wrongly predicted with a
-    ground-truth/predicted probability ratio above the threshold."""
-    ratios = wrongness_ratios(d)
-    with np.errstate(invalid="ignore"):
-        narrow = np.sum(ratios > threshold)
-    return float(narrow / d.n)
-
-
 def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsReport:
     """Bundle every metric for a dataset under the given confidences
     (uncalibrated ones when omitted)."""
@@ -118,7 +108,6 @@ def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsRep
         ks=ks_error(confidences, view.correct),
         auroc=auroc(confidences, view.correct),
         accuracy=view.accuracy,
-        narrowly_wrong_fraction=narrowly_wrong_fraction(d),
         n=d.n,
         bins=bins,
     )

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_math import predicted_labels, shift_rows, softmax_shifted, top_confidence
-
-# A wrongly predicted sample counts as narrowly wrong when the ratio of
-# ground-truth to predicted-class probability exceeds this threshold.
-NARROWLY_WRONG_THRESHOLD = 0.5
+from .tensor_math import exp_rows, predicted_labels, shift_rows, top_confidence
 
 # Transform softmax rows must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
@@ -144,7 +140,8 @@ def wrongness_ratios(d: Dataset) -> np.ndarray:
     view = correctness_view(d)
     wrong = np.flatnonzero(~view.correct)
     Z = d.logits[wrong]  # a fresh copy, so the softmax runs in place in it
-    probs = softmax_shifted(shift_rows(Z, out=Z), out=Z)
+    probs, total = exp_rows(shift_rows(Z, out=Z), out=Z)
+    probs /= total[:, None]
     idx = np.arange(wrong.size)
     ratios = np.full(d.n, np.nan)
     ratios[wrong] = probs[idx, d.labels[wrong]] / probs[idx, view.predicted[wrong]]

@@ -1,17 +1,15 @@
 """Numerically stable primitives used by every other module.
 
-``row_softmax`` is the one softmax: it works on (n, C) logit matrices at
-an optional temperature (a scalar or one per row). It checks the logits,
-subtracts the row max (``shift_rows``) and hands the result to
-``softmax_shifted``, the one softmax core, which callers holding
-already-shifted logits use directly; ``top_confidence`` reads the top
-score from their exponentials (``exp_shifted``) unnormalised.
-``finite_shift`` is the shift with -inf raised to the most negative
-float, for callers that multiply shifted logits by their weights. A
-single sample is a one-row matrix. ``predicted_labels`` is the one
-definition of the predicted class (argmax of the logits, which no
-temperature can move). Probabilities destined for a logarithm are
-clamped to ``PROB_FLOOR`` by the caller.
+Every softmax consumer works from the row-max shifted logits
+S = Z - max z of ``shift_rows``, whose entries all lie in
+[-finfo.max, 0], and from ``exp_rows``, the one kernel that takes
+E = exp(S / tau) and its row sums. ``row_softmax`` is the one softmax:
+it works on (n, C) logit matrices at an optional temperature (a scalar
+or one per row) and normalises E; ``top_confidence`` is 1 / sum E, since
+the predicted class has S = 0. A single sample is a one-row matrix.
+``predicted_labels`` is the one definition of the predicted class
+(argmax of the logits, which no temperature can move). Probabilities
+destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
 """
 
 from __future__ import annotations
@@ -35,17 +33,12 @@ def check_logits(Z) -> np.ndarray:
 
 
 def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
-    """Z minus its row max (entries <= 0), into ``out`` (may be Z) or a new array."""
-    # An overflow here can only produce -inf, whose exponential is an exact 0.
-    with np.errstate(over="ignore"):
-        return np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
-
-
-def finite_shift(Z: np.ndarray) -> np.ndarray:
-    """``shift_rows(Z)`` in a new array, with -inf raised to -finfo.max so
-    that every entry is finite and 0 * S stays 0. Its exponential at any
+    """Z minus its row max, into ``out`` (may be Z) or a new array. Every
+    entry lies in [-finfo.max, 0]: a difference that overflows to -inf is
+    raised to -finfo.max, so 0 * S stays 0, and its exponential at any
     temperature below 2e305 is still an exact 0."""
-    S = shift_rows(Z)
+    with np.errstate(over="ignore"):
+        S = np.subtract(Z, Z.max(axis=1, keepdims=True), out=out)
     return np.maximum(S, -np.finfo(float).max, out=S)
 
 
@@ -62,24 +55,17 @@ def tau_column(taus, n: int) -> np.ndarray:
     return taus
 
 
-def exp_shifted(S: np.ndarray, taus, out) -> np.ndarray:
-    """exp(S / tau) for row-max shifted logits S; a row's max entry is exactly 1."""
+def exp_rows(S: np.ndarray, taus=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """E = exp(S / tau) for row-max shifted logits S and temperatures from
+    :func:`tau_column` (None for tau = 1), into ``out`` (may be S) or a new
+    array, and the row sums of E. A row's max entry is exactly 1."""
     if taus is not None:
         # S <= 0, so the quotient can only overflow to -inf, whose exponential is 0.
         with np.errstate(over="ignore"):
             S = np.divide(S, taus, out=out)
         out = S
-    return np.exp(S, out=out)
-
-
-def softmax_shifted(S: np.ndarray, taus=None, out=None) -> np.ndarray:
-    """The softmax core: exp(S / tau) normalised per row, for row-max
-    shifted logits S and temperatures from :func:`tau_column` (None for
-    tau = 1). The result goes to ``out``, which may be S itself, or to a
-    new array."""
-    E = exp_shifted(S, taus, out)
-    E /= E.sum(axis=1, keepdims=True)
-    return E
+    E = np.exp(S, out=out)
+    return E, E.sum(axis=1)
 
 
 def _checked_shift(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:
@@ -98,7 +84,9 @@ def row_softmax(Z, taus=None) -> np.ndarray:
     logits cannot overflow at any temperature.
     """
     S, taus = _checked_shift(Z, taus)
-    return softmax_shifted(S, taus, out=S)
+    E, total = exp_rows(S, taus, out=S)
+    E /= total[:, None]
+    return E
 
 
 def predicted_labels(Z) -> np.ndarray:
@@ -112,7 +100,7 @@ def top_confidence(Z, taus=None) -> np.ndarray:
     1 / sum_c exp(S_c / tau) for S = Z - row max: the predicted class has S = 0
     and exp(0) = 1, so this is ``row_softmax(Z, taus)`` at the argmax bit for bit."""
     S, taus = _checked_shift(Z, taus)
-    return 1.0 / exp_shifted(S, taus, out=S).sum(axis=1)
+    return 1.0 / exp_rows(S, taus, out=S)[1]
 
 
 def top_k_indices(v, k: int) -> np.ndarray:

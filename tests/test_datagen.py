@@ -5,7 +5,10 @@ from calib_lab.calibrator import TrainConfig, calibrate_dataset, train
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
 from calib_lab.errors import DomainError, ShortfallError
 from calib_lab.metrics import auroc
-from calib_lab.records import NARROWLY_WRONG_THRESHOLD, correctness_view, wrongness_ratios
+from calib_lab.records import correctness_view, wrongness_ratios
+
+# A wrong record is narrowly wrong when its ground-truth/predicted probability ratio exceeds this.
+NARROWLY_WRONG_THRESHOLD = 0.5
 
 
 def test_all_correct_at_rho_one():

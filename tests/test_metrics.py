@@ -10,7 +10,7 @@ from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, ca_loss_batch
 from calib_lab.metrics import _midranks, auroc, brier_top_label, ece, ks_error, report
-from calib_lab.records import correctness_view
+from calib_lab.records import correctness_view, wrongness_ratios
 
 
 # ---- brute-force oracles (independent, naive implementations) ----
@@ -227,10 +227,12 @@ def test_reports_sharing_a_stored_view_equal_reports_on_fresh_copies():
 
 def test_report_regression_fixture():
     # Frozen from the first run on the default synthetic fixture (seed 0).
-    rep = report(generate(SynthConfig()))
+    d = generate(SynthConfig())
+    rep = report(d)
     assert rep.ece == pytest.approx(0.16038402528591927, rel=1e-12)
     assert rep.brier == pytest.approx(0.20978061138755916, rel=1e-12)
     assert rep.ks == pytest.approx(0.1577096397199725, rel=1e-12)
     assert rep.auroc == pytest.approx(0.7062585072595281, rel=1e-12)
     assert rep.accuracy == pytest.approx(0.696, rel=1e-12)
-    assert rep.narrowly_wrong_fraction == pytest.approx(0.047, rel=1e-12)
+    # share of records that are wrong with a ground-truth/predicted probability ratio above 0.5
+    assert np.count_nonzero(wrongness_ratios(d) > 0.5) / d.n == pytest.approx(0.047, rel=1e-12)

@@ -67,6 +67,18 @@ def test_top_confidence_is_row_softmax_at_argmax(data):
     assert np.array_equal(top_confidence(Z, taus), expected)
 
 
+@pytest.mark.parametrize("tau", [1.0, 1e300, 1e308])
+@pytest.mark.parametrize("row", [[1e308, -1e308], [2.0, -1.0]], ids=["span", "plain"])
+def test_top_score_agrees_across_softmax_consumers(row, tau):
+    # Class 0 is predicted and the label is 1, so the L1 CA loss |c - 0| is the top score c.
+    Z = np.array([row])
+    c = top_confidence(Z, tau)[0]
+    assert row_softmax(Z, tau)[0, 0] == c
+    assert loss_values(Z, [1], tau, LossKind.CA, DiscrepancyMode.L1)[0] == c
+    d = Dataset(Z, [1], np.array([[[0.5, 0.5]]]))
+    assert np.all(np.isfinite(wrongness_ratios(d)))
+
+
 def test_extreme_logits_in_global_temperature_scaling():
     d = Dataset(EXTREME, np.ones(len(EXTREME), dtype=int), np.full((len(EXTREME), 1, 3), 1.0 / 3.0))
     with warnings.catch_warnings():

@@ -33,3 +33,38 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphans(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes of the modules in ``sources`` (name ->
+    source) that no other top-level statement of any module reads, as a
+    ``Name`` or an attribute, and that ``__init__`` does not re-export."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    exported = {alias.asname or alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    reads = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+              if isinstance(n, (ast.Name, ast.Attribute))} for stmt in statements]
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name in exported:
+                continue
+            # A function that only calls itself is still an orphan.
+            if not any(stmt.name in names for other, names in zip(statements, reads)
+                       if other is not stmt):
+                found.append(f"{module}.{stmt.name}")
+    return found
+
+
+def test_scan_finds_an_orphan():
+    sources = {"__init__": "from .a import used_outside\n",
+               "a": "def used_outside():\n    pass\n\ndef helper():\n    pass\n\n"
+                    "def orphan():\n    orphan()\n\nclass Kept:\n    x = helper()\n",
+               "b": "from . import a\nA = a.Kept\n"}
+    assert orphans(sources) == ["a.orphan"]
+
+
+def test_every_definition_is_used_or_exported():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphans(sources) == []
