@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import shift_rows, top_confidence
+from .tensor_math import row_sums, shift_rows, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -50,13 +50,11 @@ def fit_global_temperature(d: Dataset) -> GlobalTemp:
         # beta * z only overflows to -inf (weight exactly 0); where the weight is > 0,
         # |z| < 750 / beta. The slope sum overflows to +inf only if some z_y is near -1e308.
         with np.errstate(over="ignore"):
-            np.multiply(shifted, beta, out=buf)
-            np.exp(buf, out=buf)
-            total = buf.sum(axis=1)
+            np.exp(np.multiply(shifted, beta, out=buf), out=buf)
+            total = row_sums(buf)
+            mean_z = row_sums(buf, shifted) / total
             np.multiply(buf, shifted, out=buf)
-            mean_z = buf.sum(axis=1) / total
-            np.multiply(buf, shifted, out=buf)
-            var_z = buf.sum(axis=1) / total - mean_z * mean_z
+            var_z = row_sums(buf, shifted) / total - mean_z * mean_z
             return float(np.sum(mean_z - label_z)), float(np.sum(var_z))
 
     lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_logits, exp_rows, predicted_labels, shift_rows,
-                          tau_column)
+from .tensor_math import (PROB_FLOOR, check_logits, exp_rows, predicted_labels, row_sums,
+                          shift_rows, stable_order, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -136,7 +136,7 @@ def decompose(confidences, correct, pairing: str = "lowest",
     n_pair = min(wrong_conf.size, correct_conf.size)
 
     if pairing == "lowest":
-        order = np.argsort(correct_conf, kind="stable")
+        order = stable_order(correct_conf)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
         order = rng.permutation(correct_conf.size)
@@ -159,7 +159,7 @@ def _one_hot_residual(P, labels) -> np.ndarray:
 def mse_rows(P, labels) -> np.ndarray:
     """Per-row squared distance between P[i] and the one-hot label y_i."""
     residual = _one_hot_residual(P, labels)
-    return np.sum(residual * residual, axis=1)
+    return row_sums(residual, residual)
 
 
 class LogitBatch:
@@ -246,7 +246,7 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     b = _batch(Z, labels)
     S, labels, idx = b.S, b.labels, b.rows
     E, total = exp_rows(S, tau_column(taus, S.shape[0]))
-    m = np.einsum("ij,ij->i", E, S) / total
+    m = row_sums(E, S) / total
     taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus
 
@@ -257,10 +257,9 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
         return np.where(E[idx, labels] / total > PROB_FLOOR, grad, 0.0)
     if kind is LossKind.MSE:
         E /= total[:, None]
-        residual = _one_hot_residual(E, labels)
         # S and m lie in [-finfo.max, 0], so S - m cannot overflow.
         dP = -(E / tau_sq[..., None]) * (S - m[:, None])
-        return np.sum(2.0 * residual * dP, axis=1)
+        return 2.0 * row_sums(_one_hot_residual(E, labels), dP)
     c_hat = 1.0 / total
     dc_dtau = (c_hat / tau_sq) * m
     indicator = (b.predicted == labels).astype(np.float64)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, UndefinedMetricError
 from .losses import DiscrepancyMode, ca_loss_batch, check_pair
 from .records import Dataset, correctness_view
+from .tensor_math import stable_order
 
 DEFAULT_BINS = 25
 
@@ -62,7 +63,7 @@ def ks_error(confidences, correct) -> float:
     """Max gap between cumulative confidence and cumulative correctness
     over confidence-sorted prefixes (ties kept in original order)."""
     confidences, correct = check_pair(confidences, correct)
-    order = np.argsort(confidences, kind="stable")
+    order = stable_order(confidences)
     diff = confidences[order] - correct[order].astype(np.float64)
     return float(np.max(np.abs(np.cumsum(diff))) / confidences.size)
 
@@ -85,11 +86,10 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     the order of equal values in the sort changes no rank: no stable sort."""
     order = np.argsort(values)
     sorted_vals = values[order]
-    starts = np.flatnonzero(np.append(True, sorted_vals[1:] != sorted_vals[:-1]))
-    sizes = np.diff(np.append(starts, values.size))
+    bounds = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1], [True])))
     ranks = np.empty(values.size, dtype=np.float64)
-    # Sorted positions i..j share the midrank (i + j) / 2 + 1.
-    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)
+    # Sorted positions i..j-1 share the midrank (i + j + 1) / 2.
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return ranks
 
 

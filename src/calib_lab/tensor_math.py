@@ -3,10 +3,11 @@
 Every softmax consumer works from the row-max shifted logits
 S = Z - max z of ``shift_rows``, whose entries all lie in
 [-finfo.max, 0], and from ``exp_rows``, the one kernel that takes
-E = exp(S / tau) and its row sums. ``row_softmax`` is the one softmax:
-it works on (n, C) logit matrices at an optional temperature (a scalar
-or one per row) and normalises E; ``top_confidence`` is 1 / sum E, since
-the predicted class has S = 0. A single sample is a one-row matrix.
+E = exp(S / tau) and its sums through ``row_sums``, the one row-sum
+kernel. ``row_softmax`` is the one softmax: it works on (n, C) logit
+matrices at an optional temperature (a scalar or one per row) and
+normalises E; ``top_confidence`` is 1 / sum E, since the predicted
+class has S = 0. A single sample is a one-row matrix.
 ``predicted_labels`` is the one definition of the predicted class
 (argmax of the logits, which no temperature can move). Probabilities
 destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
@@ -65,7 +66,24 @@ def exp_rows(S: np.ndarray, taus=None, out=None) -> tuple[np.ndarray, np.ndarray
             S = np.divide(S, taus, out=out)
         out = S
     E = np.exp(S, out=out)
-    return E, E.sum(axis=1)
+    return E, row_sums(E)
+
+
+def row_sums(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of A, or of A * B without forming it, by one batch-invariant einsum."""
+    return np.einsum("ij->i", A) if B is None else np.einsum("ij,ij->i", A, B)
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of a NaN-free vector, bit for bit: the
+    default sort, then one sort of (group, index) keys puts ties in index order."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1], [True]))
+    tied = np.flatnonzero(~(first[:-1] & first[1:]))
+    keys = np.cumsum(first[tied]) * values.size + order[tied]
+    order[tied] = np.sort(keys) % values.size
+    return order
 
 
 def _checked_shift(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:

@@ -45,6 +45,13 @@ def auroc_oracle(conf, correct):
     return wins / (len(pos) * len(neg))
 
 
+def ks_error_stable_argsort(conf, correct):
+    """ks_error on numpy's stable argsort in place of ``stable_order``: the reference."""
+    order = np.argsort(conf, kind="stable")
+    diff = conf[order] - correct[order].astype(np.float64)
+    return float(np.max(np.abs(np.cumsum(diff))) / conf.size)
+
+
 def midranks_oracle(values):
     """The original tie-walking loop: 1-based ranks, ties averaged."""
     order = np.argsort(values, kind="stable")
@@ -105,6 +112,16 @@ def test_ks_matches_brute_force():
     for _ in range(40):
         conf, correct = random_set(rng, n=int(rng.integers(2, 120)))
         assert abs(ks_error(conf, correct) - ks_oracle(conf, correct)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_ks_bit_equal_to_stable_argsort_version(seed, digits):
+    rng = np.random.default_rng(seed)
+    conf, correct = random_set(rng)
+    # rounding every confidence makes most of them tied
+    conf = np.clip(np.round(conf, digits), 10.0 ** -digits, 1.0)
+    assert ks_error(conf, correct) == ks_error_stable_argsort(conf, correct)
 
 
 def test_auroc_trivial_cases():

@@ -167,3 +167,31 @@ def test_prepared_batch_refuses_a_second_set_of_labels():
     b = LogitBatch.prepare(EXTREME, [0, 1, 2])
     with pytest.raises(InvalidInputError, match="carries its own labels"):
         loss_values(b, [0, 1, 2], 1.0, LossKind.CE)
+
+
+# --- a row's scores do not depend on what shares its batch ---
+
+def row_scores(Z, labels, taus):
+    """Every per-row output of the row-sum kernel's consumers, as one list."""
+    return [top_confidence(Z, taus)] + [fn(Z, labels, taus, kind) for kind in LossKind
+                                        for fn in (loss_values, dloss_dtau_batch)]
+
+
+@pytest.mark.parametrize("c", [2, 3, 10, 100])
+def test_row_scores_are_batch_invariant(c):
+    rng = np.random.default_rng(c)
+    n = 40
+    Z, labels, taus = rng.normal(0.0, 4.0, (n, c)), rng.integers(0, c, n), rng.uniform(0.1, 5.0, n)
+    full = row_scores(Z, labels, taus)
+
+    def joined(starts, size):
+        parts = [row_scores(Z[i:i + size], labels[i:i + size], taus[i:i + size]) for i in starts]
+        return [np.concatenate(scores) for scores in zip(*parts)]
+
+    # The same logits one float64 past the start of a buffer, so every row moves in memory.
+    offset = np.empty(n * c + 1)[1:].reshape(n, c)
+    offset[...] = Z
+    for scores in (joined(range(n), 1), joined(range(0, n, 7), 7),
+                   row_scores(offset, labels, taus)):
+        for got, expected in zip(scores, full):
+            assert got.tobytes() == expected.tobytes()

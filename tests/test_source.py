@@ -68,3 +68,51 @@ def test_scan_finds_an_orphan():
 def test_every_definition_is_used_or_exported():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphans(sources) == []
+
+
+# Row sums over classes and stable orders of a vector go through the tensor_math kernels.
+# top_k_indices keeps its stable row-wise argsort: at 300k x 10 the default sort plus the
+# tie fix took 105 ms against 76 ms for numpy's stable sort (2-core VM, numpy 2.4.6).
+KERNEL_MODULES = ["tensor_math", "losses", "baselines", "metrics"]
+KERNELS = {"row_sums", "stable_order", "top_k_indices"}
+
+
+def _literal(node):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def bypassed_kernels(source: str) -> list[str]:
+    """Calls outside the functions in KERNELS that sum rows (``.sum`` or ``np.sum``
+    with axis 1 or -1) or sort stably (``kind="stable"`` or ``"mergesort"``)."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name in KERNELS for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute) \
+                or id(node) in inside:
+            continue
+        keywords = {k.arg: _literal(k.value) for k in node.keywords}
+        if node.func.attr == "sum" and keywords.get("axis") in (1, -1):
+            found.append((node.lineno, "row sum"))
+        if keywords.get("kind") in ("stable", "mergesort"):
+            found.append((node.lineno, "stable sort"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_finds_a_bypassed_kernel():
+    source = ("import numpy as np\n"
+              "def row_sums(A):\n    return A.sum(axis=1)\n"
+              "def f(A, v):\n    a = A.sum(axis=1) + np.sum(A * A, axis=-1)\n"
+              "    b = np.argsort(v, kind='stable')\n"
+              "    return A.sum(axis=0), np.sum(v), np.argsort(v), np.sort(v, kind='mergesort')\n")
+    assert bypassed_kernels(source) == ["line 5: row sum", "line 5: row sum",
+                                        "line 6: stable sort", "line 7: stable sort"]
+
+
+@pytest.mark.parametrize("module", KERNEL_MODULES)
+def test_row_sums_and_stable_orders_use_the_kernels(module):
+    assert bypassed_kernels((SRC / f"{module}.py").read_text()) == []

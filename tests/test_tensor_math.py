@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from calib_lab.errors import DomainError, InvalidInputError
 from calib_lab.tensor_math import (predicted_labels, row_softmax, sigmoid, softplus,
-                                   top_confidence, top_k_indices)
+                                   stable_order, top_confidence, top_k_indices)
 
 # Softmax of [1.0, 2.0, 0.1, 0.05], computed with a 60-digit
 # arbitrary-precision oracle ahead of the build.
@@ -81,6 +81,27 @@ def test_top_k_is_prefix_of_full_sort():
         full = top_k_indices(v, v.size)
         for k in range(1, v.size + 1):
             np.testing.assert_array_equal(top_k_indices(v, k), full[:k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # integer-valued floats: heavy ties, signed zeros among them
+    st.lists(st.integers(-3, 3), min_size=0, max_size=300),
+    st.integers(1, 300).map(lambda n: [0.5] * n),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=50),
+))
+def test_stable_order_equals_stable_argsort(values):
+    values = np.asarray(values, dtype=np.float64)
+    if values.size:
+        values[::4] = -values[::4]
+    assert np.array_equal(stable_order(values), np.argsort(values, kind="stable"))
+
+
+def test_stable_order_of_300k_untied_and_tied_values():
+    untied = np.random.default_rng(2).random(300_000)
+    assert np.unique(untied).size == untied.size
+    for values in (untied, np.round(untied, 3)):
+        assert np.array_equal(stable_order(values), np.argsort(values, kind="stable"))
 
 
 def test_top_confidence_closed_form():
