@@ -76,37 +76,33 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
         raise DomainError("ground-truth logit a must stay below 2.0 (sample must stay wrong)")
 
-    n_a = a_values.size
-    Z = np.empty((n_a, 4))
-    Z[:, 0] = a_values
+    # One row per (a, tau) grid point, a-major, each with its own temperature.
+    n_a, n_tau = a_values.size, tau_values.size
+    Z = np.empty((n_a * n_tau, 4))
+    Z[:, 0] = np.repeat(a_values, n_tau)
     Z[:, 1:] = SURFACE_TEMPLATE
-    labels = np.zeros(n_a, dtype=np.int64)
-
-    loss = np.empty((n_a, tau_values.size))
-    c_gt = np.empty_like(loss)
-    for j, tau in enumerate(tau_values):
-        loss[:, j] = loss_values(Z, labels, tau, kind, mode)
-        c_gt[:, j] = row_softmax(Z, tau)[:, 0]
-    return SurfaceGrid(loss_kind=kind, mode=mode, a_values=a_values,
-                       tau_values=tau_values, loss=loss, c_gt=c_gt)
+    taus = np.tile(tau_values, n_a)
+    loss = loss_values(Z, np.full(Z.shape[0], SURFACE_LABEL), taus, kind, mode)
+    c_gt = row_softmax(Z, taus)[:, SURFACE_LABEL]
+    return SurfaceGrid(loss_kind=kind, mode=mode, a_values=a_values, tau_values=tau_values,
+                       loss=loss.reshape(n_a, n_tau), c_gt=c_gt.reshape(n_a, n_tau))
 
 
-def _band_metrics(d: Dataset, confidences, method: str,
-                  band: tuple[float, float], bins: int) -> BandRow:
+def _band_metrics(d: Dataset, params, method: str, band: tuple[float, float]) -> BandRow:
+    """A band's row for one method: ``d`` scored by ``params``, or as-is if None."""
     view = correctness_view(d)
-    conf = view.confidence if confidences is None else confidences
+    conf = view.confidence if params is None else calibrate_dataset(params, d)[1]
     try:
         auc = metrics.auroc(conf, view.correct)
     except UndefinedMetricError:
         auc = float("nan")
-    return BandRow(band_low=band[0], band_high=band[1], method=method,
-                   ece=metrics.ece(conf, view.correct, bins), auroc=auc, n=d.n)
+    return BandRow(band_low=float(band[0]), band_high=float(band[1]), method=method,
+                   ece=metrics.ece(conf, view.correct), auroc=auc, n=d.n)
 
 
 def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainConfig,
                          bands=DEFAULT_BANDS, count: int = 50, vary: str = "test",
-                         train_wrong: int = 200, train_correct: int = 1000,
-                         bins: int = metrics.DEFAULT_BINS) -> list[BandRow]:
+                         train_wrong: int = 200, train_correct: int = 1000) -> list[BandRow]:
     """Per-band comparison of no calibration vs. CE- and CA-trained
     calibrators.
 
@@ -117,31 +113,24 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
     """
     if vary not in ("test", "train"):
         raise DomainError(f"vary must be 'test' or 'train', got {vary!r}")
-    ca_config = replace(config, loss=LossKind.CA)
-    ce_config = replace(config, loss=LossKind.CE)
-    rows: list[BandRow] = []
+
+    def methods(d: Dataset):
+        """(name, calibrator) of each compared method, the CE and CA ones trained on d."""
+        ca_params, _ = train(d, replace(config, loss=LossKind.CA))
+        ce_params, _ = train(d, replace(config, loss=LossKind.CE))
+        return ("uncal", None), ("ce", ce_params), ("ca", ca_params)
 
     if vary == "test":
-        ca_params, _ = train(train_set, ca_config)
-        ce_params, _ = train(train_set, ce_config)
-        for band in bands:
-            subset = craft_wrongness_set(test_set, band[0], band[1], count)
-            rows.append(_band_metrics(subset, None, "uncal", band, bins))
-            _, conf_ce = calibrate_dataset(ce_params, subset)
-            rows.append(_band_metrics(subset, conf_ce, "ce", band, bins))
-            _, conf_ca = calibrate_dataset(ca_params, subset)
-            rows.append(_band_metrics(subset, conf_ca, "ca", band, bins))
-    else:
-        for band in bands:
-            crafted = craft_wrongness_set(train_set, band[0], band[1], train_wrong,
-                                          n_correct=train_correct)
-            ca_params, _ = train(crafted, ca_config)
-            ce_params, _ = train(crafted, ce_config)
-            rows.append(_band_metrics(test_set, None, "uncal", band, bins))
-            _, conf_ce = calibrate_dataset(ce_params, test_set)
-            rows.append(_band_metrics(test_set, conf_ce, "ce", band, bins))
-            _, conf_ca = calibrate_dataset(ca_params, test_set)
-            rows.append(_band_metrics(test_set, conf_ca, "ca", band, bins))
+        compared = methods(train_set)
+    rows: list[BandRow] = []
+    for band in bands:
+        if vary == "test":
+            evaluated = craft_wrongness_set(test_set, band[0], band[1], count)
+        else:
+            compared = methods(craft_wrongness_set(train_set, band[0], band[1], train_wrong,
+                                                   n_correct=train_correct))
+            evaluated = test_set
+        rows.extend(_band_metrics(evaluated, params, name, band) for name, params in compared)
     return rows
 
 

@@ -26,6 +26,10 @@ from .tensor_math import sigmoid, softplus, top_confidence, top_k_indices
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
@@ -119,9 +123,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 256
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     tau_min: float = DEFAULT_TAU_MIN
     two_hidden: bool = False
@@ -342,11 +343,10 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        F_epoch, data_epoch = F[order], data.take(order)
         for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
+            batch = order[start:start + config.batch_size]
             try:
-                grads = grad_params(net, F_epoch[batch], data_epoch.take(batch), None,
+                grads = grad_params(net, F[batch], data.take(batch), None,
                                     config.loss, config.mode)
             except (DomainError, InvalidInputError) as exc:
                 # Inputs were validated up front, so a non-finite temperature
@@ -354,25 +354,23 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
                 raise TrainingDivergedError(epoch, f"diverged at epoch {epoch}: {exc}") from exc
             g = net.flat(grads)
             step += 1
-            bias1 = 1.0 - config.beta1 ** step
-            bias2 = 1.0 - config.beta2 ** step
+            bias1 = 1.0 - ADAM_BETA1 ** step
+            bias2 = 1.0 - ADAM_BETA2 ** step
             # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
             # theta -= lr * (m/bias1) / (sqrt(v/bias2) + eps), each rounded as written.
-            adam_m *= config.beta1
-            adam_m += (1.0 - config.beta1) * g
-            adam_v *= config.beta2
-            adam_v += (1.0 - config.beta2) * g * g
+            adam_m *= ADAM_BETA1
+            adam_m += (1.0 - ADAM_BETA1) * g
+            adam_v *= ADAM_BETA2
+            adam_v += (1.0 - ADAM_BETA2) * g * g
             np.divide(adam_v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += config.adam_eps
+            denom += ADAM_EPS
             np.divide(adam_m, bias1, out=update)
             update /= denom
             update *= config.learning_rate
             theta -= update
             if not np.all(np.isfinite(theta)):
                 raise TrainingDivergedError(epoch)
-        # Free this epoch's copies before the full-set loss and the next gather.
-        del F_epoch, data_epoch
         trace.append(full_loss(epoch))
 
     return net.params(), TrainingTrace(np.asarray(trace, dtype=np.float64))

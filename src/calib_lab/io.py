@@ -16,6 +16,8 @@ import tempfile
 import warnings
 from array import array
 from contextlib import contextmanager
+from dataclasses import astuple, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -196,73 +198,62 @@ def load_params(path) -> CalibratorParams:
     return CalibratorParams(layers=layers, tau_min=tau_min, n_classes=c, n_transforms=m, k=k)
 
 
-def _fmt(value: float, raw: bool) -> str:
-    if raw:
-        return repr(float(value))
-    return f"{100.0 * value:.2f}"
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer. A float cell is written as its shortest exact
+    decimal, a NaN cell as an empty one; any other cell as it prints."""
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        # v == v is False only for NaN, and far cheaper per cell than np.isnan.
+        writer.writerows([(repr(float(v)) if v == v else "") if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def _checked(value, cls, message: str):
+    if not isinstance(value, cls):
+        raise InvalidInputError(message)
+    return value
+
+
+def _export_dataclass_rows(path, cls, rows) -> None:
+    """Dataclass rows under a header of their field names."""
+    _write_csv(path, [f.name for f in fields(cls)],
+               (astuple(_checked(row, cls, f"expected {cls.__name__} entries")) for row in rows))
 
 
 def export_metrics_csv(path, rows, raw: bool = False) -> None:
     """Metric table rows as (method, MetricsReport) pairs. Values are
     written x100 with two decimals unless ``raw`` asks for exact floats."""
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(METRICS_HEADER)
-        for method, rep in rows:
-            if not isinstance(rep, MetricsReport):
-                raise InvalidInputError("rows must pair a method name with a MetricsReport")
-            writer.writerow([method, _fmt(rep.ece, raw), _fmt(rep.brier, raw),
-                             _fmt(rep.ks, raw), _fmt(rep.auroc, raw),
-                             _fmt(rep.accuracy, raw), rep.n])
+    def cells(method, rep):
+        rep = _checked(rep, MetricsReport, "rows must pair a method name with a MetricsReport")
+        values = (rep.ece, rep.brier, rep.ks, rep.auroc, rep.accuracy)
+        return [method, *(repr(float(v)) if raw else f"{100.0 * v:.2f}" for v in values), rep.n]
+    _write_csv(path, METRICS_HEADER, (cells(method, rep) for method, rep in rows))
 
 
 def export_surface_csv(path, grid: SurfaceGrid) -> None:
-    """Long-format surface grid, exact float values."""
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SURFACE_HEADER)
-        for i, a in enumerate(grid.a_values):
-            for j, tau in enumerate(grid.tau_values):
-                writer.writerow([grid.loss_kind.value, repr(float(a)), repr(float(tau)),
-                                 repr(float(grid.loss[i, j])), repr(float(grid.c_gt[i, j]))])
+    """Long-format surface grid, a-major, exact float values."""
+    a, tau = np.meshgrid(grid.a_values, grid.tau_values, indexing="ij")
+    columns = (np.asarray(c, dtype=np.float64).ravel().tolist()
+               for c in (a, tau, grid.loss, grid.c_gt))
+    _write_csv(path, SURFACE_HEADER, zip(repeat(grid.loss_kind.value), *columns))
 
 
 def export_band_rows_csv(path, rows) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("band_low", "band_high", "method", "ece", "auroc", "n"))
-        for row in rows:
-            if not isinstance(row, BandRow):
-                raise InvalidInputError("expected BandRow entries")
-            auc = "" if np.isnan(row.auroc) else repr(float(row.auroc))
-            writer.writerow([repr(float(row.band_low)), repr(float(row.band_high)),
-                             row.method, repr(float(row.ece)), auc, row.n])
+    _export_dataclass_rows(path, BandRow, rows)
 
 
 def export_ksweep_csv(path, rows) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("k", "ks", "auroc", "ks_uncal", "auroc_uncal"))
-        for row in rows:
-            if not isinstance(row, KSweepRow):
-                raise InvalidInputError("expected KSweepRow entries")
-            writer.writerow([row.k, repr(float(row.ks)), repr(float(row.auroc)),
-                             repr(float(row.ks_uncal)), repr(float(row.auroc_uncal))])
+    _export_dataclass_rows(path, KSweepRow, rows)
 
 
 def export_trace_csv(path, trace: TrainingTrace) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("epoch", "loss"))
-        for epoch, value in enumerate(trace.losses):
-            writer.writerow([epoch, repr(float(value))])
+    _write_csv(path, ("epoch", "loss"), enumerate(trace.losses.tolist()))
 
 
 def export_confidence_csv(path, record_ids, labels, predicted, correct, taus, confidences) -> None:
-    with _atomic_open(path) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("record_id", "label", "predicted", "correct", "tau", "confidence"))
-        for rid, y, pred, ok, tau, conf in zip(record_ids, labels, predicted, correct,
-                                               taus, confidences):
-            writer.writerow([int(rid), int(y), int(pred), int(ok),
-                             repr(float(tau)), repr(float(conf))])
+    ints = (np.asarray(c).astype(np.int64).tolist()
+            for c in (record_ids, labels, predicted, correct))
+    floats = (np.asarray(c, dtype=np.float64).tolist() for c in (taus, confidences))
+    _write_csv(path, ("record_id", "label", "predicted", "correct", "tau", "confidence"),
+               zip(*ints, *floats))

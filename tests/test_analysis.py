@@ -1,12 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from calib_lab.analysis import (DEFAULT_BANDS, default_a_grid, default_tau_grid, k_sweep,
-                                loss_surface, wrongness_experiment)
-from calib_lab.calibrator import TrainConfig
-from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError, ShortfallError
-from calib_lab.losses import DiscrepancyMode, LossKind
+from calib_lab.analysis import (DEFAULT_BANDS, SURFACE_TEMPLATE, BandRow, default_a_grid,
+                                default_tau_grid, k_sweep, loss_surface, wrongness_experiment)
+from calib_lab.calibrator import TrainConfig, calibrate_dataset, train
+from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
+from calib_lab.errors import DomainError, ShortfallError, UndefinedMetricError
+from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
+from calib_lab.metrics import DEFAULT_BINS, auroc, ece
+from calib_lab.records import correctness_view
+from calib_lab.tensor_math import row_softmax
 
 L1 = DiscrepancyMode.L1
 SQ = DiscrepancyMode.SQUARED_L2
@@ -36,6 +41,37 @@ def test_mse_interior_minimum_near_one():
     j = int(np.argmin(grid.loss[0]))
     assert 0 < j < grid.tau_values.size - 1
     assert 0.5 < grid.tau_values[j] < 2.0
+
+
+def per_tau_surface(kind, a_values, tau_values, mode):
+    """The surface one scalar temperature at a time, as a column loop."""
+    Z = np.empty((a_values.size, 4))
+    Z[:, 0] = a_values
+    Z[:, 1:] = SURFACE_TEMPLATE
+    labels = np.zeros(a_values.size, dtype=np.int64)
+    loss = np.empty((a_values.size, tau_values.size))
+    c_gt = np.empty_like(loss)
+    for j, tau in enumerate(tau_values):
+        loss[:, j] = loss_values(Z, labels, tau, kind, mode)
+        c_gt[:, j] = row_softmax(Z, tau)[:, 0]
+    return loss, c_gt
+
+
+GRIDS = {"default": (default_a_grid(), default_tau_grid()),
+         "one_point": (np.array([0.5]), np.array([1.3])),
+         "custom": (np.linspace(-5.0, 1.9, 7), np.array([0.01, 0.3, 1.0, 7.5, 1000.0]))}
+
+
+@pytest.mark.parametrize("grid_name", list(GRIDS))
+@pytest.mark.parametrize("mode", [L1, SQ])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_surface_is_bit_equal_to_the_per_tau_loop(kind, mode, grid_name):
+    a_values, tau_values = GRIDS[grid_name]
+    grid = loss_surface(kind, a_values, tau_values, mode)
+    loss, c_gt = per_tau_surface(kind, a_values, tau_values, mode)
+    assert grid.loss.shape == grid.c_gt.shape == (a_values.size, tau_values.size)
+    assert grid.loss.tobytes() == loss.tobytes()
+    assert grid.c_gt.tobytes() == c_gt.tobytes()
 
 
 def test_c_gt_strictly_increasing_in_a():
@@ -82,6 +118,53 @@ def test_wrongness_experiment_vary_train(small_pools):
     # mixed test set: AUROC defined everywhere
     assert all(np.isfinite(r.auroc) for r in rows)
     assert all(r.n == test_set.n for r in rows)
+
+
+def two_branch_wrongness(train_set, test_set, config, bands, count, vary, train_wrong,
+                         train_correct):
+    """The band experiment with one branch per ``vary`` value."""
+    def band_row(d, conf, method, band):
+        view = correctness_view(d)
+        conf = view.confidence if conf is None else conf
+        try:
+            auc = auroc(conf, view.correct)
+        except UndefinedMetricError:
+            auc = float("nan")
+        return BandRow(band[0], band[1], method, ece(conf, view.correct, DEFAULT_BINS), auc, d.n)
+
+    ca_config = replace(config, loss=LossKind.CA)
+    ce_config = replace(config, loss=LossKind.CE)
+    rows = []
+    if vary == "test":
+        ca_params, _ = train(train_set, ca_config)
+        ce_params, _ = train(train_set, ce_config)
+        for band in bands:
+            subset = craft_wrongness_set(test_set, band[0], band[1], count)
+            rows.append(band_row(subset, None, "uncal", band))
+            rows.append(band_row(subset, calibrate_dataset(ce_params, subset)[1], "ce", band))
+            rows.append(band_row(subset, calibrate_dataset(ca_params, subset)[1], "ca", band))
+    else:
+        for band in bands:
+            crafted = craft_wrongness_set(train_set, band[0], band[1], train_wrong,
+                                          n_correct=train_correct)
+            ca_params, _ = train(crafted, ca_config)
+            ce_params, _ = train(crafted, ce_config)
+            rows.append(band_row(test_set, None, "uncal", band))
+            rows.append(band_row(test_set, calibrate_dataset(ce_params, test_set)[1], "ce", band))
+            rows.append(band_row(test_set, calibrate_dataset(ca_params, test_set)[1], "ca", band))
+    return rows
+
+
+@pytest.mark.parametrize("vary", ["test", "train"])
+def test_wrongness_experiment_equals_the_two_branch_version(small_pools, vary):
+    train_set, test_set = small_pools
+    args = (train_set, test_set, TrainConfig(epochs=2, seed=1))
+    sizes = dict(bands=((0.5, 1.0), (0.0, 0.2)), count=60, vary=vary, train_wrong=80,
+                 train_correct=200)
+    rows = wrongness_experiment(*args, **sizes)
+    # repr, so that a NaN AUROC compares equal to itself.
+    assert repr(rows) == repr(two_branch_wrongness(*args, **sizes))
+    assert len(rows) == 6
 
 
 def test_wrongness_experiment_propagates_shortfall(small_pools):

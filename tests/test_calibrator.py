@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from calib_lab.calibrator import (CalibratorParams, TrainConfig, batch_loss, calibrate_dataset,
+from calib_lab.calibrator import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CalibratorParams,
+                                  TrainConfig, batch_loss, calibrate_dataset,
                                   constant_temperature_params, feature_matrix, forward_batch,
                                   grad_params, init_params, train)
 from calib_lab.datagen import SynthConfig, generate
@@ -339,12 +340,12 @@ def reference_train(d, config):
             grads = grad_params(current(), F[batch], Z[batch], labels[batch],
                                 config.loss, config.mode)
             step += 1
-            bias1, bias2 = 1.0 - config.beta1 ** step, 1.0 - config.beta2 ** step
+            bias1, bias2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
             for i, j in values:
                 g = np.array(grads[i][j])
-                adam_m[i, j] = config.beta1 * adam_m[i, j] + (1.0 - config.beta1) * g
-                adam_v[i, j] = config.beta2 * adam_v[i, j] + (1.0 - config.beta2) * g * g
-                update = (adam_m[i, j] / bias1) / (np.sqrt(adam_v[i, j] / bias2) + config.adam_eps)
+                adam_m[i, j] = ADAM_BETA1 * adam_m[i, j] + (1.0 - ADAM_BETA1) * g
+                adam_v[i, j] = ADAM_BETA2 * adam_v[i, j] + (1.0 - ADAM_BETA2) * g * g
+                update = (adam_m[i, j] / bias1) / (np.sqrt(adam_v[i, j] / bias2) + ADAM_EPS)
                 values[i, j] = values[i, j] - config.learning_rate * update
         losses.append(batch_loss(current(), F, Z, labels, config.loss, config.mode))
     return current(), np.array(losses)

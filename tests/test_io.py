@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calib_lab.analysis import loss_surface
-from calib_lab.calibrator import TrainConfig, calibrate_dataset, forward_batch, init_params, train
+from calib_lab.analysis import BandRow, KSweepRow, loss_surface
+from calib_lab.calibrator import (TrainConfig, TrainingTrace, calibrate_dataset, forward_batch,
+                                  init_params, train)
 from calib_lab.cli import run
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import (DatasetFormatError, InvalidInputError, UnsupportedVersionError)
-from calib_lab.io import (export_metrics_csv, export_surface_csv, load_dataset, load_params,
-                          save_dataset, save_params)
+from calib_lab.io import (export_band_rows_csv, export_confidence_csv, export_ksweep_csv,
+                          export_metrics_csv, export_surface_csv, export_trace_csv, load_dataset,
+                          load_params, save_dataset, save_params)
 from calib_lab.losses import LossKind
 from calib_lab.metrics import report
 from calib_lab.records import Dataset
@@ -249,6 +251,49 @@ def test_surface_csv_long_format(tmp_path):
     assert len(lines) == 1 + 2 * 3
     first = lines[1].split(",")
     assert first[0] == "ce" and float(first[1]) == 0.0 and float(first[2]) == 0.5
+
+
+def test_band_rows_csv_leaves_an_undefined_auroc_empty(tmp_path):
+    rows = [BandRow(0.8, 1.0, "uncal", 0.25, float("nan"), 50),
+            BandRow(0.0, 0.2, "ca", 0.1, 0.75, 5000)]
+    path = tmp_path / "bands.csv"
+    export_band_rows_csv(path, rows)
+    assert path.read_bytes() == (b"band_low,band_high,method,ece,auroc,n\r\n"
+                                 b"0.8,1.0,uncal,0.25,,50\r\n0.0,0.2,ca,0.1,0.75,5000\r\n")
+
+
+def test_ksweep_csv_header_and_exact_floats(tmp_path):
+    path = tmp_path / "ksweep.csv"
+    export_ksweep_csv(path, [KSweepRow(k=4, ks=0.1, auroc=np.float64(0.9), ks_uncal=1 / 3,
+                                       auroc_uncal=0.8)])
+    assert path.read_text().splitlines() == ["k,ks,auroc,ks_uncal,auroc_uncal",
+                                             f"4,0.1,0.9,{1 / 3!r},0.8"]
+
+
+def test_trace_csv_numbers_epochs_from_zero(tmp_path):
+    path = tmp_path / "trace.csv"
+    export_trace_csv(path, TrainingTrace([0.5, 0.25, 1 / 3]))
+    assert path.read_text().splitlines() == ["epoch,loss", "0,0.5", "1,0.25", f"2,{1 / 3!r}"]
+
+
+def test_confidence_csv_writes_correctness_as_0_or_1(tmp_path):
+    path = tmp_path / "applied.csv"
+    export_confidence_csv(path, np.array([3, 7]), [1, 0], np.array([1, 2]),
+                          np.array([True, False]), np.array([0.5, 2.0]), [0.9, 0.4])
+    assert path.read_text().splitlines() == ["record_id,label,predicted,correct,tau,confidence",
+                                             "3,1,1,1,0.5,0.9", "7,0,2,0,2.0,0.4"]
+
+
+@pytest.mark.parametrize("export, good", [
+    (export_band_rows_csv, BandRow(0.8, 1.0, "uncal", 0.25, 0.5, 50)),
+    (export_ksweep_csv, KSweepRow(4, 0.1, 0.9, 0.2, 0.8)),
+    (export_metrics_csv, ("uncal", report(generate(SynthConfig(n=50, seed=55))))),
+])
+def test_writer_refuses_a_wrong_type_row_and_leaves_no_file(tmp_path, export, good):
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidInputError):
+        export(path, [good, ("not", "a row")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reexport_is_byte_identical(tmp_path):
