@@ -12,7 +12,7 @@ from .analysis import (BandRow, KSweepRow, SurfaceGrid, default_a_grid, default_
 from .baselines import GlobalTemp, apply_global, fit_global_temperature, nll_objective
 from .calibrator import (CalibratorParams, TrainConfig, TrainingTrace, calibrate_dataset,
                          constant_temperature_params, feature_matrix, forward_batch,
-                         grad_params, init_params, train)
+                         grad_params, init_params, train, train_stack)
 from .datagen import SynthConfig, craft_wrongness_set, generate
 from .errors import (CalibrationError, DatasetFormatError, DomainError, InvalidInputError,
                      ShortfallError, TrainingDivergedError, UndefinedMetricError,

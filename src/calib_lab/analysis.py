@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics
-from .calibrator import TrainConfig, calibrate_dataset, train
+from .calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from .datagen import craft_wrongness_set
-from .errors import DomainError, UndefinedMetricError
+from .errors import DomainError
 from .losses import DiscrepancyMode, LossKind, loss_values
 from .records import Dataset, correctness_view
 from .tensor_math import row_softmax
@@ -90,14 +90,9 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
 
 def _band_metrics(d: Dataset, params, method: str, band: tuple[float, float]) -> BandRow:
     """A band's row for one method: ``d`` scored by ``params``, or as-is if None."""
-    view = correctness_view(d)
-    conf = view.confidence if params is None else calibrate_dataset(params, d)[1]
-    try:
-        auc = metrics.auroc(conf, view.correct)
-    except UndefinedMetricError:
-        auc = float("nan")
+    rep = metrics.report(d, None if params is None else calibrate_dataset(params, d)[1])
     return BandRow(band_low=float(band[0]), band_high=float(band[1]), method=method,
-                   ece=metrics.ece(conf, view.correct), auroc=auc, n=d.n)
+                   ece=rep.ece, auroc=rep.auroc, n=d.n)
 
 
 def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainConfig,
@@ -113,24 +108,21 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
     """
     if vary not in ("test", "train"):
         raise DomainError(f"vary must be 'test' or 'train', got {vary!r}")
-
-    def methods(d: Dataset):
-        """(name, calibrator) of each compared method, the CE and CA ones trained on d."""
-        ca_params, _ = train(d, replace(config, loss=LossKind.CA))
-        ce_params, _ = train(d, replace(config, loss=LossKind.CE))
-        return ("uncal", None), ("ce", ce_params), ("ca", ca_params)
-
+    trained_on = [train_set] if vary == "test" else [
+        craft_wrongness_set(train_set, low, high, train_wrong, n_correct=train_correct)
+        for low, high in bands]
+    # Each loss's models, one per training set, trained as one stack.
+    ce, ca = ([p for p, _ in train_stack(trained_on, replace(config, loss=kind))]
+              for kind in (LossKind.CE, LossKind.CA))
+    del trained_on  # the crafted sets are not scored
     if vary == "test":
-        compared = methods(train_set)
+        ce, ca = ce * len(bands), ca * len(bands)
     rows: list[BandRow] = []
-    for band in bands:
-        if vary == "test":
-            evaluated = craft_wrongness_set(test_set, band[0], band[1], count)
-        else:
-            compared = methods(craft_wrongness_set(train_set, band[0], band[1], train_wrong,
-                                                   n_correct=train_correct))
-            evaluated = test_set
-        rows.extend(_band_metrics(evaluated, params, name, band) for name, params in compared)
+    for band, ce_params, ca_params in zip(bands, ce, ca):
+        evaluated = (craft_wrongness_set(test_set, band[0], band[1], count) if vary == "test"
+                     else test_set)
+        rows.extend(_band_metrics(evaluated, params, name, band) for name, params
+                    in (("uncal", None), ("ce", ce_params), ("ca", ca_params)))
     return rows
 
 

@@ -175,25 +175,25 @@ def feature_matrix(d: Dataset, k: int) -> np.ndarray:
 
 def _forward_trace(p: CalibratorParams, F: np.ndarray):
     """Forward pass keeping each layer's input for backprop: returns
-    those inputs, the output pre-activation o and the temperatures."""
+    those inputs, the output pre-activation o and the temperatures. A
+    stack of R models, with (R, fan_out, fan_in) layers, maps (R, n, M*k)
+    features to (R, n) outputs."""
     h = F
     inputs = []
-    for w, b in p.layers[:-1]:
+    for i, (w, b) in enumerate(p.layers):
+        if i:
+            np.maximum(h, 0.0, out=h)  # the hidden layer's ReLU, in place
         inputs.append(h)
-        # a stays alive until the next layer's replaces it: freeing it at once
-        # left cli_desk's peak RSS 1.7 MB higher (heap layout, not live data).
-        a = h @ w.T + b
-        h = np.maximum(a, 0.0)
-    inputs.append(h)
-    w, b = p.layers[-1]
-    o = (h @ w.T + b)[:, 0]
+        h = np.matmul(h, w.swapaxes(-1, -2))
+        h += b[..., None, :]
+    o = h[..., 0]
     return inputs, o, softplus(o) + p.tau_min
 
 
 def forward_batch(p: CalibratorParams, F: np.ndarray) -> np.ndarray:
     """Temperatures for a feature matrix, shape (n,)."""
     F = np.asarray(F, dtype=np.float64)
-    if F.ndim != 2 or F.shape[1] != p.input_width:
+    if F.ndim != p.layers[0][0].ndim or F.shape[-1] != p.input_width:
         raise DomainError(f"features must have shape (n, {p.input_width}), got {F.shape}")
     return _forward_trace(p, F)[2]
 
@@ -211,9 +211,10 @@ def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.n
 def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                kind: LossKind, mode: DiscrepancyMode) -> float:
     """Mean configured loss of the calibrator on a batch; ``Z`` may be a
-    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``."""
-    taus = forward_batch(p, F)
-    return float(np.mean(loss_values(Z, labels, taus, kind, mode)))
+    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``. A stack of
+    models gives one mean per model."""
+    losses = np.mean(loss_values(Z, labels, forward_batch(p, F), kind, mode), axis=-1)
+    return float(losses) if losses.ndim == 0 else losses
 
 
 def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
@@ -223,21 +224,23 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
     like ``p.layers``: d(loss)/d(tau) chained through softplus, the
     linear layers, and ReLU (derivative at 0 taken as 0). The batch
     gradient is the mean of per-sample gradients. ``Z`` may be a
-    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``."""
+    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``. A stack of
+    models gives stacked gradients."""
     F = np.asarray(F, dtype=np.float64)
-    if F.shape[0] == 0:
+    n = F.shape[-2]
+    if n == 0:
         raise DomainError("batch must be non-empty")
-    n = F.shape[0]
     inputs, o, tau = _forward_trace(p, F)
-    # g: d(loss)/d(pre-activation) of the current layer, (n, fan_out).
-    g = (dloss_dtau_batch(Z, labels, tau, kind, mode) * sigmoid(o))[:, None]
+    # g: d(loss)/d(pre-activation) of the current layer, (..., n, fan_out).
+    g = (dloss_dtau_batch(Z, labels, tau, kind, mode) * sigmoid(o))[..., None]
     grads = [None] * len(p.layers)
     for i in reversed(range(len(p.layers))):
         h = inputs[i]
-        grads[i] = (g.T @ h / n, g.mean(axis=0))
+        grads[i] = (np.matmul(g.swapaxes(-1, -2), h) / n, g.sum(axis=-2) / n)
         if i:
             # A ReLU output is > 0 exactly where its input is.
-            g = (g @ p.layers[i][0]) * (h > 0)
+            g = np.matmul(g, p.layers[i][0])
+            g *= h > 0
     return grads
 
 
@@ -278,50 +281,71 @@ def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k
 
 
 class _FlatParams:
-    """The weights of a CalibratorParams in one float64 vector ``theta``.
+    """The weights of R same-shape CalibratorParams as the rows of one
+    (R, P) float64 matrix ``theta``.
 
-    ``layers`` holds (W, b) views of ``theta`` shaped like the
-    CalibratorParams layers, so :func:`grad_params` and
-    :func:`batch_loss` read it like a CalibratorParams while the
-    optimiser updates ``theta`` in place.
+    ``layers`` holds (W, b) views of ``theta`` shaped (R, fan_out, fan_in)
+    and (R, fan_out), so :func:`grad_params` and :func:`batch_loss` read it
+    as a stack of models while the optimiser updates ``theta`` in place.
     """
 
-    def __init__(self, p: CalibratorParams):
-        self.template = p
-        self.tau_min = p.tau_min
-        self.input_width = p.input_width
-        arrays = [a for layer in p.layers for a in layer]
-        self.theta = np.concatenate([a.ravel() for a in arrays])
-        parts = np.split(self.theta, np.cumsum([a.size for a in arrays])[:-1])
+    def __init__(self, models: list):
+        self.template = models[0]
+        self.tau_min = self.template.tau_min
+        self.input_width = self.template.input_width
+        arrays = [np.stack(group) for group in
+                  zip(*([a for layer in p.layers for a in layer] for p in models))]
+        self.theta = self.flat(arrays)
+        parts = np.split(self.theta, np.cumsum([a[0].size for a in arrays])[:-1], axis=1)
         views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
         self.layers = tuple(zip(views[::2], views[1::2]))
 
-    def params(self) -> CalibratorParams:
-        """A frozen, validated copy of the current weights."""
-        return replace(self.template, layers=self.layers)
+    def params(self) -> list:
+        """A frozen, validated copy of each model's current weights."""
+        return [replace(self.template, layers=[(w[r], b[r]) for w, b in self.layers])
+                for r in range(len(self.theta))]
 
     @staticmethod
-    def flat(grads) -> np.ndarray:
-        """(dW, db) pairs laid out like ``theta``."""
-        return np.concatenate([a.ravel() for layer in grads for a in layer])
+    def flat(arrays) -> np.ndarray:
+        """Stacked (R, ...) arrays, in layer order, laid out like ``theta``."""
+        return np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1)
 
 
 def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTrace]:
-    """Adam-train the calibrator on a dataset.
+    """Adam-train the calibrator on a dataset: the one-model case of
+    :func:`train_stack`.
 
     Shuffling, initialization, and updates are all driven by one seeded
     generator, so two runs with equal (seed, config, dataset) produce
     bit-identical parameters. Raises :class:`TrainingDivergedError` the
     first time the logged loss is non-finite.
     """
-    config.validate(d.n_classes)
-    F = feature_matrix(d, config.k)
-    data = LogitBatch.prepare(d.logits, d.labels)
-    n = d.n
+    return train_stack([d], config)[0]
 
-    net = _FlatParams(init_params(d.n_classes, d.n_transforms, config.k,
-                                  tau_min=config.tau_min, seed=config.seed,
-                                  two_hidden=config.two_hidden))
+
+def train_stack(datasets, config: TrainConfig) -> list:
+    """Adam-train one calibrator per dataset under one config, as a stack:
+    a (params, trace) pair per dataset.
+
+    The datasets must agree in record, class and transform counts. Every
+    model starts from the ``config.seed`` init and all share one seeded
+    permutation stream, so model r is ``train(datasets[r], config)`` bit
+    for bit; the stack only shares the per-step overhead. Raises
+    :class:`TrainingDivergedError` at the first epoch where some model's
+    loss, temperatures or weights become non-finite, naming its position.
+    """
+    datasets = list(datasets)
+    shapes = {(d.n, d.n_classes, d.n_transforms) for d in datasets}
+    if len(shapes) != 1:
+        raise DomainError(f"a stack needs datasets of one (n, C, M) shape, got {sorted(shapes)}")
+    ((n, n_classes, n_transforms),) = shapes
+    config.validate(n_classes)
+    F = np.stack([feature_matrix(d, config.k) for d in datasets])
+    data = LogitBatch.stack([d.logits for d in datasets], [d.labels for d in datasets])
+
+    net = _FlatParams([init_params(n_classes, n_transforms, config.k, tau_min=config.tau_min,
+                                   seed=config.seed, two_hidden=config.two_hidden)
+                       for _ in datasets])
     theta = net.theta
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
@@ -330,14 +354,26 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
     step = 0
     rng = np.random.default_rng(config.seed + 1)
 
-    def full_loss(epoch: int) -> float:
+    def diverged(epoch: int, values: np.ndarray, exc=None) -> TrainingDivergedError:
+        """The error naming the first model with a non-finite entry in its row of ``values``."""
+        r = int(np.argmin(np.isfinite(values).reshape(len(datasets), -1).all(axis=1)))
+        return TrainingDivergedError(epoch, f"model {r} of {len(datasets)} diverged at epoch "
+                                            f"{epoch}" + (f": {exc}" if exc else ""))
+
+    def run(fn, epoch: int, features: np.ndarray, batch: LogitBatch):
         try:
-            value = batch_loss(net, F, data, None, config.loss, config.mode)
+            return fn(net, features, batch, None, config.loss, config.mode)
         except (DomainError, InvalidInputError) as exc:
-            raise TrainingDivergedError(epoch, f"diverged at epoch {epoch}: {exc}") from exc
-        if not np.isfinite(value):
-            raise TrainingDivergedError(epoch)
-        return value
+            # Inputs were validated up front, so a non-finite temperature
+            # or parameter mid-run means the optimization blew up.
+            with np.errstate(all="ignore"):
+                raise diverged(epoch, _forward_trace(net, features)[2], exc) from exc
+
+    def full_loss(epoch: int) -> np.ndarray:
+        values = run(batch_loss, epoch, F, data)
+        if not np.all(np.isfinite(values)):
+            raise diverged(epoch, values)
+        return values
 
     trace = [full_loss(0)]
 
@@ -345,14 +381,8 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            try:
-                grads = grad_params(net, F[batch], data.take(batch), None,
-                                    config.loss, config.mode)
-            except (DomainError, InvalidInputError) as exc:
-                # Inputs were validated up front, so a non-finite temperature
-                # or parameter mid-run means the optimization blew up.
-                raise TrainingDivergedError(epoch, f"diverged at epoch {epoch}: {exc}") from exc
-            g = net.flat(grads)
+            grads = run(grad_params, epoch, F.take(batch, axis=1), data.take(batch))
+            g = net.flat([a for layer in grads for a in layer])
             step += 1
             bias1 = 1.0 - ADAM_BETA1 ** step
             bias2 = 1.0 - ADAM_BETA2 ** step
@@ -370,7 +400,8 @@ def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTr
             update *= config.learning_rate
             theta -= update
             if not np.all(np.isfinite(theta)):
-                raise TrainingDivergedError(epoch)
+                raise diverged(epoch, theta)
         trace.append(full_loss(epoch))
 
-    return net.params(), TrainingTrace(np.asarray(trace, dtype=np.float64))
+    losses = np.stack(trace)
+    return [(p, TrainingTrace(losses[:, r])) for r, p in enumerate(net.params())]

@@ -223,11 +223,12 @@ def _export_dataclass_rows(path, cls, rows) -> None:
 
 def export_metrics_csv(path, rows, raw: bool = False) -> None:
     """Metric table rows as (method, MetricsReport) pairs. Values are
-    written x100 with two decimals unless ``raw`` asks for exact floats."""
+    written x100 with two decimals unless ``raw`` asks for exact floats;
+    an undefined (NaN) value is an empty cell either way."""
     def cells(method, rep):
         rep = _checked(rep, MetricsReport, "rows must pair a method name with a MetricsReport")
-        values = (rep.ece, rep.brier, rep.ks, rep.auroc, rep.accuracy)
-        return [method, *(repr(float(v)) if raw else f"{100.0 * v:.2f}" for v in values), rep.n]
+        values = (float(v) for v in (rep.ece, rep.brier, rep.ks, rep.auroc, rep.accuracy))
+        return [method, *(v if raw or v != v else f"{100.0 * v:.2f}" for v in values), rep.n]
     _write_csv(path, METRICS_HEADER, (cells(method, rep) for method, rep in rows))
 
 

@@ -150,9 +150,15 @@ def decompose(confidences, correct, pairing: str = "lowest",
                          reconstruction=float(reconstruction), pairing=pairing)
 
 
+def _at_labels(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's entry at its label, for (n, C) or (R, n, C) rows."""
+    return np.take_along_axis(A, labels[..., None], axis=-1)[..., 0]
+
+
 def _one_hot_residual(P, labels) -> np.ndarray:
     residual = np.array(P, dtype=np.float64)
-    residual[np.arange(residual.shape[0]), labels] -= 1.0
+    labels = np.asarray(labels)[..., None]
+    np.put_along_axis(residual, labels, np.take_along_axis(residual, labels, -1) - 1.0, -1)
     return residual
 
 
@@ -165,27 +171,36 @@ def mse_rows(P, labels) -> np.ndarray:
 class LogitBatch:
     """The temperature-free part of the batched losses, computed once:
     integer ``labels``, the row-max shifted logits ``S`` of
-    :func:`~calib_lab.tensor_math.shift_rows` (all finite), the row index
-    ``rows`` and, on first use, the ``predicted`` labels.
+    :func:`~calib_lab.tensor_math.shift_rows` (all finite) and, on first
+    use, the ``predicted`` labels. ``S`` is (n, C), or (R, n, C) for a
+    stack of R batches of equal size, with (R, n) labels: every loss then
+    gives one row of values per batch.
 
     The logits themselves are not kept: with E = exp(S / tau) and its row
     sums from :func:`~calib_lab.tensor_math.exp_rows`, the top score is
     c = 1 / sum E, since the predicted class has S = 0, and the
     softmax-weighted mean logit enters every derivative only through
-    z_pred - zbar = -sum_c p_c S_c. Build one with :meth:`prepare`;
-    :meth:`take` selects rows without repeating any of that work, so a
-    trainer prepares its data once and only ``exp_rows`` runs per step.
+    z_pred - zbar = -sum_c p_c S_c. :meth:`prepare` and :meth:`stack` build
+    one; :meth:`take` selects rows without repeating any of that work, so
+    a trainer prepares its data once and only ``exp_rows`` runs per step.
     """
 
-    def __init__(self, labels, S, rows, predicted=None):
-        self.labels, self.S, self.rows = labels, S, rows
+    def __init__(self, labels, S, predicted=None):
+        self.labels, self.S = labels, S
         self._predicted = predicted
 
     @classmethod
     def prepare(cls, Z, labels) -> "LogitBatch":
         """Check an (n, C) logit matrix and derive everything but E."""
-        S = shift_rows(check_logits(Z))
-        return cls(np.asarray(labels, dtype=np.int64), S, np.arange(S.shape[0]))
+        return cls(np.asarray(labels, dtype=np.int64), shift_rows(check_logits(Z)))
+
+    @classmethod
+    def stack(cls, Zs, labels) -> "LogitBatch":
+        """An (R, n, C) batch from R checked (n, C) logit matrices and their labels."""
+        S = np.empty((len(Zs),) + np.shape(Zs[0]))
+        for Z, out in zip(Zs, S):
+            shift_rows(check_logits(Z), out=out)
+        return cls(np.stack([np.asarray(y, dtype=np.int64) for y in labels]), S)
 
     @property
     def predicted(self) -> np.ndarray:
@@ -196,10 +211,11 @@ class LogitBatch:
         return self._predicted
 
     def take(self, idx) -> "LogitBatch":
-        """The rows at ``idx`` (an index array or a slice)."""
-        S = self.S[idx]
-        predicted = None if self._predicted is None else self._predicted[idx]
-        return LogitBatch(self.labels[idx], S, np.arange(S.shape[0]), predicted)
+        """The rows at ``idx`` (an index array or a slice) of every batch."""
+        if isinstance(idx, slice):
+            idx = np.arange(self.labels.shape[-1])[idx]
+        predicted = None if self._predicted is None else self._predicted.take(idx, axis=-1)
+        return LogitBatch(self.labels.take(idx, axis=-1), self.S.take(idx, axis=-2), predicted)
 
 
 def _batch(Z, labels) -> LogitBatch:
@@ -221,11 +237,11 @@ def loss_values(Z, labels, taus, kind: LossKind,
         # Correctness of the tau-invariant prediction, read before S may be overwritten.
         correct = b.predicted == b.labels
     # A batch prepared here belongs to this call, so E overwrites its S.
-    E, total = exp_rows(b.S, tau_column(taus, b.S.shape[0]), out=None if b is Z else b.S)
+    E, total = exp_rows(b.S, tau_column(taus, b.S.shape[:-1]), out=None if b is Z else b.S)
     if kind is LossKind.CE:
-        return -np.log(np.maximum(E[b.rows, b.labels] / total, PROB_FLOOR))
+        return -np.log(np.maximum(_at_labels(E, b.labels) / total, PROB_FLOOR))
     if kind is LossKind.MSE:
-        E /= total[:, None]
+        E /= total[..., None]
         return mse_rows(E, b.labels)
     # CA: the top score 1 / sum E against correctness.
     return _discrepancy(1.0 / total - correct, mode)
@@ -244,8 +260,8 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     ``labels=None``.
     """
     b = _batch(Z, labels)
-    S, labels, idx = b.S, b.labels, b.rows
-    E, total = exp_rows(S, tau_column(taus, S.shape[0]))
+    S, labels = b.S, b.labels
+    E, total = exp_rows(S, tau_column(taus, S.shape[:-1]))
     m = row_sums(E, S) / total
     taus = np.asarray(taus, dtype=np.float64)
     tau_sq = taus * taus
@@ -253,12 +269,12 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     if kind is LossKind.CE:
         # A floored row may overflow here; its value is discarded below.
         with np.errstate(over="ignore"):
-            grad = (S[idx, labels] - m) / tau_sq
-        return np.where(E[idx, labels] / total > PROB_FLOOR, grad, 0.0)
+            grad = (_at_labels(S, labels) - m) / tau_sq
+        return np.where(_at_labels(E, labels) / total > PROB_FLOOR, grad, 0.0)
     if kind is LossKind.MSE:
-        E /= total[:, None]
+        E /= total[..., None]
         # S and m lie in [-finfo.max, 0], so S - m cannot overflow.
-        dP = -(E / tau_sq[..., None]) * (S - m[:, None])
+        dP = -(E / tau_sq[..., None]) * (S - m[..., None])
         return 2.0 * row_sums(_one_hot_residual(E, labels), dP)
     c_hat = 1.0 / total
     dc_dtau = (c_hat / tau_sq) * m

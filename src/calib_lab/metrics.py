@@ -26,7 +26,7 @@ class MetricsReport:
     ece: float
     brier: float
     ks: float
-    auroc: float
+    auroc: float  # NaN when only one outcome class is present
     accuracy: float
     n: int
     bins: int
@@ -95,18 +95,22 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsReport:
     """Bundle every metric for a dataset under the given confidences
-    (uncalibrated ones when omitted)."""
+    (uncalibrated ones when omitted); AUROC is NaN where it is undefined."""
     view = correctness_view(d)
     if confidences is None:
         confidences = view.confidence
     confidences = np.asarray(confidences, dtype=np.float64)
     if confidences.shape != (d.n,):
         raise InvalidInputError(f"confidences must have shape ({d.n},), got {confidences.shape}")
+    try:
+        auc = auroc(confidences, view.correct)
+    except UndefinedMetricError:
+        auc = float("nan")
     return MetricsReport(
         ece=ece(confidences, view.correct, bins),
         brier=brier_top_label(confidences, view.correct),
         ks=ks_error(confidences, view.correct),
-        auroc=auroc(confidences, view.correct),
+        auroc=auc,
         accuracy=view.accuracy,
         n=d.n,
         bins=bins,

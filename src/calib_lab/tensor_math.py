@@ -4,13 +4,14 @@ Every softmax consumer works from the row-max shifted logits
 S = Z - max z of ``shift_rows``, whose entries all lie in
 [-finfo.max, 0], and from ``exp_rows``, the one kernel that takes
 E = exp(S / tau) and its sums through ``row_sums``, the one row-sum
-kernel. ``row_softmax`` is the one softmax: it works on (n, C) logit
-matrices at an optional temperature (a scalar or one per row) and
-normalises E; ``top_confidence`` is 1 / sum E, since the predicted
-class has S = 0. A single sample is a one-row matrix.
-``predicted_labels`` is the one definition of the predicted class
-(argmax of the logits, which no temperature can move). Probabilities
-destined for a logarithm are clamped to ``PROB_FLOOR`` by the caller.
+kernel; both also take an (R, n, C) stack of matrices. ``row_softmax``
+is the one softmax: it works on (n, C) logit matrices at an optional
+temperature (a scalar or one per row) and normalises E;
+``top_confidence`` is 1 / sum E, since the predicted class has S = 0.
+A single sample is a one-row matrix. ``predicted_labels`` is the one
+definition of the predicted class (argmax of the logits, which no
+temperature can move). Probabilities destined for a logarithm are
+clamped to ``PROB_FLOOR`` by the caller.
 """
 
 from __future__ import annotations
@@ -43,16 +44,17 @@ def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
     return np.maximum(S, -np.finfo(float).max, out=S)
 
 
-def tau_column(taus, n: int) -> np.ndarray:
-    """Checked temperatures shaped to divide n rows: a scalar stays a
-    scalar, n temperatures become an (n, 1) column."""
+def tau_column(taus, rows: tuple) -> np.ndarray:
+    """Checked temperatures shaped to divide rows of leading shape ``rows``,
+    (n,) or (R, n): a scalar stays a scalar, one temperature per row,
+    shaped like ``rows``, becomes a column of shape ``rows + (1,)``."""
     taus = np.asarray(taus, dtype=np.float64)
     if not np.all(np.isfinite(taus) & (taus > 0)):
         raise DomainError("temperatures must be finite and > 0")
-    if taus.ndim == 1 and taus.shape[0] == n:
-        return taus[:, None]
+    if taus.ndim and taus.shape == rows:
+        return taus[..., None]
     if taus.ndim != 0:
-        raise InvalidInputError(f"expected a scalar or {n} temperatures, got shape {taus.shape}")
+        raise InvalidInputError(f"expected a scalar or {rows} temperatures, got shape {taus.shape}")
     return taus
 
 
@@ -70,8 +72,9 @@ def exp_rows(S: np.ndarray, taus=None, out=None) -> tuple[np.ndarray, np.ndarray
 
 
 def row_sums(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Row sums of A, or of A * B without forming it, by one batch-invariant einsum."""
-    return np.einsum("ij->i", A) if B is None else np.einsum("ij,ij->i", A, B)
+    """Sums over the last axis of A, or of A * B without forming it, by one
+    batch-invariant einsum; a stack of matrices sums each one's rows."""
+    return np.einsum("...j->...", A) if B is None else np.einsum("...j,...j->...", A, B)
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def _checked_shift(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:
     """Checked logits minus their row max, and the checked temperatures."""
     Z = check_logits(Z)
     if taus is not None:
-        taus = tau_column(taus, Z.shape[0])
+        taus = tau_column(taus, Z.shape[:1])
     return shift_rows(Z), taus
 
 
@@ -110,7 +113,7 @@ def row_softmax(Z, taus=None) -> np.ndarray:
 def predicted_labels(Z) -> np.ndarray:
     """Predicted class of each row: the argmax of the logits (the first
     one on ties), unchanged by any temperature."""
-    return np.argmax(Z, axis=1)
+    return np.argmax(Z, axis=-1)
 
 
 def top_confidence(Z, taus=None) -> np.ndarray:
@@ -122,15 +125,27 @@ def top_confidence(Z, taus=None) -> np.ndarray:
 
 
 def top_k_indices(v, k: int) -> np.ndarray:
-    """Indices of the k largest entries along the last axis of a vector
-    or a matrix, descending; ties favor the smaller index."""
-    v = np.asarray(v, dtype=np.float64)
+    """Indices of the k largest entries along the last axis of a finite
+    vector or matrix, descending; ties favor the smaller index. A
+    C-contiguous (k,) or (n, k) array."""
+    v = np.array(v, dtype=np.float64)
     if v.ndim not in (1, 2):
         raise InvalidInputError(f"expected a vector or a matrix, got shape {v.shape}")
     if not 1 <= k <= v.shape[-1]:
         raise DomainError(f"k must satisfy 1 <= k <= {v.shape[-1]}, got {k}")
-    # Stable sort on the negated values keeps equal entries in index order.
-    return np.argsort(-v, axis=-1, kind="stable")[..., :k]
+    if not np.all(np.isfinite(v)):
+        raise InvalidInputError("top-k input contains non-finite entries")
+    # k argmax passes over one copy, each masking the previous pick with -inf:
+    # argmax returns the first maximum, so ties come out in index order.
+    rows = v.reshape(-1, v.shape[-1])
+    picks = np.empty((k, rows.shape[0]), dtype=np.intp)
+    starts = np.arange(0, rows.size, rows.shape[1])
+    rows.argmax(axis=1, out=picks[0])
+    for j in range(1, k):
+        np.put(rows, picks[j - 1] + starts, -np.inf)
+        rows.argmax(axis=1, out=picks[j])
+    # A transposed view would make every gather at these indices slower.
+    return np.ascontiguousarray(picks.T).reshape(v.shape[:-1] + (k,))
 
 
 def softplus(x):

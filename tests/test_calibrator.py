@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -7,10 +8,11 @@ import pytest
 from calib_lab.calibrator import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CalibratorParams,
                                   TrainConfig, batch_loss, calibrate_dataset,
                                   constant_temperature_params, feature_matrix, forward_batch,
-                                  grad_params, init_params, train)
+                                  grad_params, init_params, train, train_stack)
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import DomainError, InvalidInputError, TrainingDivergedError
-from calib_lab.losses import DiscrepancyMode, LossKind
+from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch,
+                              loss_values)
 from calib_lab.metrics import ece
 from calib_lab.records import Dataset, correctness_view
 from calib_lab.tensor_math import row_softmax
@@ -409,3 +411,72 @@ def test_training_peak_memory_is_within_two_and_a_half_logit_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * d.logits.nbytes
+
+
+# --- a stack of models trains as each model alone ---
+
+def training_digest(params, trace) -> str:
+    h = hashlib.sha256()
+    for w, b in params.layers:
+        h.update(w.tobytes())
+        h.update(b.tobytes())
+    h.update(trace.losses.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("two_hidden", [False, True])
+@pytest.mark.parametrize("mode", [L1, SQ])
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_stack_is_bit_identical_to_training_each_model(loss, mode, two_hidden):
+    # 150 records in batches of 64: the last batch of every epoch is short.
+    datasets = [generate(SynthConfig(n=150, n_classes=10, seed=seed)) for seed in (20, 21, 22)]
+    cfg = TrainConfig(loss=loss, mode=mode, two_hidden=two_hidden, epochs=3, batch_size=64,
+                      seed=7)
+    stacked = train_stack(datasets, cfg)
+    assert [training_digest(*model) for model in stacked] == [
+        training_digest(*train(d, cfg)) for d in datasets]
+
+
+@pytest.mark.parametrize("other", [SynthConfig(n=151, seed=24),
+                                   SynthConfig(n=150, n_classes=11, seed=24),
+                                   SynthConfig(n=150, n_transforms=2, seed=24)],
+                         ids=["n", "classes", "transforms"])
+def test_stack_refuses_datasets_of_unequal_shape(other):
+    with pytest.raises(DomainError):
+        train_stack([generate(SynthConfig(n=150, seed=23)), generate(other)], TrainConfig())
+
+
+def test_stack_refuses_no_datasets():
+    with pytest.raises(DomainError):
+        train_stack([], TrainConfig())
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_stack_divergence_names_the_model_and_its_epoch():
+    d = generate(SynthConfig(n=100, seed=13))
+    # Equal logits give every row the loss gradient 0, so Adam never moves that model.
+    flat = Dataset(np.zeros_like(d.logits), d.labels, d.transform_probs)
+    cfg = TrainConfig(epochs=3, learning_rate=1e200, seed=0)
+    with pytest.raises(TrainingDivergedError) as alone:
+        train(d, cfg)
+    assert train(flat, cfg)[1].losses.size == 4
+    with pytest.raises(TrainingDivergedError, match="model 1 of 2") as stacked:
+        train_stack([flat, d], cfg)
+    assert stacked.value.epoch == alone.value.epoch
+
+
+@pytest.mark.parametrize("idx", [slice(3, None), slice(None, None, 2), np.array([4, 0, 0, 7])])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_stacked_logit_batch_rows_equal_each_batch(idx, kind):
+    rng = np.random.default_rng(8)
+    Zs = [rng.standard_normal((9, 5)) * 4.0 for _ in range(3)]
+    labels = [rng.integers(0, 5, 9) for _ in range(3)]
+    taus = rng.uniform(0.1, 3.0, (3, 9))
+    stacked = LogitBatch.stack(Zs, labels)
+    picked = stacked.take(idx)
+    assert picked.S.shape == (3, np.arange(9)[idx].size, 5)
+    for fn in (loss_values, dloss_dtau_batch):
+        got = fn(picked, None, taus[:, idx], kind, SQ)
+        for r in range(3):
+            want = fn(LogitBatch.prepare(Zs[r], labels[r]).take(idx), None, taus[r, idx], kind, SQ)
+            assert got[r].tobytes() == want.tobytes()

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calib_lab.calibrator import (TrainConfig, calibrate_dataset, constant_temperature_params,
                                   train)
 from calib_lab.cli import run
-from calib_lab.io import load_dataset, save_params
+from calib_lab.datagen import SynthConfig, generate
+from calib_lab.io import load_dataset, save_dataset, save_params
+from calib_lab.metrics import brier_top_label, ece, ks_error
+from calib_lab.records import correctness_view
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -241,3 +245,21 @@ def test_outputs_respect_umask(tmp_path):
     finally:
         os.umask(old)
     assert path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("raw", [True, False])
+def test_eval_of_a_wrong_only_set_leaves_auroc_empty(tmp_path, raw):
+    d = generate(SynthConfig(n=2000, seed=3))
+    wrong = d.subset(np.flatnonzero(~correctness_view(d).correct)[:50])
+    data, out = tmp_path / "wrong50.jsonl", tmp_path / "wrong50.csv"
+    save_dataset(data, wrong)
+    assert run(["eval", "--data", str(data), "--uncalibrated", "--out", str(out),
+                *(["--raw"] if raw else [])]) == 0
+    (row,) = read_csv(out)
+    assert row["auroc"] == "" and row["n"] == "50"
+    view = correctness_view(wrong)
+    expected = {"ece": ece(view.confidence, view.correct),
+                "bs": brier_top_label(view.confidence, view.correct),
+                "ks": ks_error(view.confidence, view.correct), "accuracy": 0.0}
+    for key, value in expected.items():
+        assert row[key] == (repr(value) if raw else f"{100.0 * value:.2f}")

@@ -152,6 +152,17 @@ def test_auroc_undefined_for_single_class():
         auroc([0.5, 0.6], [True, True])
 
 
+def test_report_gives_nan_auroc_for_a_single_outcome_class():
+    d = generate(SynthConfig(n=400, seed=9))
+    view = correctness_view(d)
+    wrong = d.subset(np.flatnonzero(~view.correct)[:30])
+    rep = report(wrong)
+    conf, correct = correctness_view(wrong).confidence, np.zeros(30, dtype=bool)
+    assert np.isnan(rep.auroc) and rep.accuracy == 0.0
+    assert (rep.ece, rep.brier, rep.ks) == (ece(conf, correct), brier_top_label(conf, correct),
+                                            ks_error(conf, correct))
+
+
 def test_brier_values():
     assert brier_top_label([1.0, 1.0], [True, True]) == 0.0
     assert brier_top_label([0.5], [False]) == pytest.approx(0.25, abs=1e-15)

@@ -83,6 +83,41 @@ def test_top_k_is_prefix_of_full_sort():
             np.testing.assert_array_equal(top_k_indices(v, k), full[:k])
 
 
+def argsort_top_k(v, k):
+    """The oracle: the first k entries of a stable descending argsort."""
+    return np.argsort(-v, axis=-1, kind="stable")[..., :k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_classes=st.sampled_from([2, 10, 100]), n_rows=st.sampled_from([None, 0, 1, 7, 40]),
+       seed=st.integers(0, 2 ** 32 - 1), tied=st.booleans(), data=st.data())
+def test_top_k_equals_stable_argsort(n_classes, n_rows, seed, tied, data):
+    k = data.draw(st.one_of(st.just(1), st.just(n_classes), st.integers(1, n_classes)))
+    shape = (n_classes,) if n_rows is None else (n_rows, n_classes)
+    v = 3.0 * np.random.default_rng(seed).standard_normal(shape)
+    if tied:
+        # Logits rounded to 0.1: heavy ties, signed zeros among them.
+        v = np.round(v, 1)
+    got = top_k_indices(v, k)
+    assert np.array_equal(got, argsort_top_k(v, k))
+    assert got.shape == shape[:-1] + (k,) and got.flags.c_contiguous
+
+
+def test_top_k_leaves_its_input_unchanged():
+    v = np.round(np.random.default_rng(3).standard_normal((50, 10)), 1)
+    before = v.copy()
+    top_k_indices(v, 10)
+    assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("matrix", [False, True])
+def test_top_k_rejects_non_finite_entries(bad, matrix):
+    v = np.array([[0.5, bad, 0.1], [0.2, 0.3, 0.4]])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        top_k_indices(v if matrix else v[0], 2)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     # integer-valued floats: heavy ties, signed zeros among them
