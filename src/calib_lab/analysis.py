@@ -112,7 +112,7 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
         craft_wrongness_set(train_set, low, high, train_wrong, n_correct=train_correct)
         for low, high in bands]
     # Each loss's models, one per training set, trained as one stack.
-    ce, ca = ([p for p, _ in train_stack(trained_on, replace(config, loss=kind))]
+    ce, ca = ([p for p, _ in train_stack(trained_on, replace(config, loss=kind), trace=False)]
               for kind in (LossKind.CE, LossKind.CA))
     del trained_on  # the crafted sets are not scored
     if vary == "test":
@@ -135,7 +135,7 @@ def k_sweep(train_set: Dataset, test_set: Dataset, k_values, config: TrainConfig
     rows = []
     for k in k_values:
         k = int(k)
-        params, _ = train(train_set, replace(config, k=k))
+        params, _ = train(train_set, replace(config, k=k), trace=False)
         _, conf = calibrate_dataset(params, test_set)
         rows.append(KSweepRow(
             k=k,

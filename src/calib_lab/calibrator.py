@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
-from .tensor_math import sigmoid, softplus, top_confidence, top_k_indices
+from .tensor_math import check_count, sigmoid, softplus, top_confidence, top_k_indices
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -128,12 +128,10 @@ class TrainConfig:
     two_hidden: bool = False
 
     def validate(self, n_classes: int) -> None:
-        if not 1 <= self.k <= n_classes:
+        for name, low in (("k", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_count(getattr(self, name), name, low)
+        if self.k > n_classes:
             raise DomainError(f"k={self.k} outside [1, {n_classes}]")
-        if self.epochs < 1:
-            raise DomainError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise DomainError("learning rate must be > 0")
         if not (np.isfinite(self.tau_min) and self.tau_min > 0):
@@ -142,7 +140,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Full-training-set loss per epoch; index 0 is the initial loss."""
+    """Full-training-set loss per epoch; index 0 is the initial loss. A
+    training run without the trace keeps only the initial and the final
+    loss, so ``initial`` and ``final`` mean the same either way."""
 
     losses: np.ndarray
 
@@ -311,19 +311,20 @@ class _FlatParams:
         return np.concatenate([a.reshape(len(a), -1) for a in arrays], axis=1)
 
 
-def train(d: Dataset, config: TrainConfig) -> tuple[CalibratorParams, TrainingTrace]:
+def train(d: Dataset, config: TrainConfig, *,
+          trace: bool = True) -> tuple[CalibratorParams, TrainingTrace]:
     """Adam-train the calibrator on a dataset: the one-model case of
     :func:`train_stack`.
 
     Shuffling, initialization, and updates are all driven by one seeded
     generator, so two runs with equal (seed, config, dataset) produce
-    bit-identical parameters. Raises :class:`TrainingDivergedError` the
-    first time the logged loss is non-finite.
+    bit-identical parameters, with or without the per-epoch ``trace``.
+    Raises :class:`TrainingDivergedError` as :func:`train_stack` does.
     """
-    return train_stack([d], config)[0]
+    return train_stack([d], config, trace=trace)[0]
 
 
-def train_stack(datasets, config: TrainConfig) -> list:
+def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     """Adam-train one calibrator per dataset under one config, as a stack:
     a (params, trace) pair per dataset.
 
@@ -333,6 +334,12 @@ def train_stack(datasets, config: TrainConfig) -> list:
     for bit; the stack only shares the per-step overhead. Raises
     :class:`TrainingDivergedError` at the first epoch where some model's
     loss, temperatures or weights become non-finite, naming its position.
+
+    With ``trace=False`` the full-set loss, a second pass over the data,
+    is computed only before the first epoch and after the last, so each
+    trace holds [initial, final]. The epochs between end with the forward
+    pass alone, which checks every temperature, so the parameters and the
+    epoch named on divergence are the same either way.
     """
     datasets = list(datasets)
     shapes = {(d.n, d.n_classes, d.n_transforms) for d in datasets}
@@ -375,7 +382,7 @@ def train_stack(datasets, config: TrainConfig) -> list:
             raise diverged(epoch, values)
         return values
 
-    trace = [full_loss(0)]
+    losses = [full_loss(0)]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -401,7 +408,10 @@ def train_stack(datasets, config: TrainConfig) -> list:
             theta -= update
             if not np.all(np.isfinite(theta)):
                 raise diverged(epoch, theta)
-        trace.append(full_loss(epoch))
+        if trace or epoch == config.epochs:
+            losses.append(full_loss(epoch))
+        elif not np.all(np.isfinite(taus := _forward_trace(net, F)[2])):
+            raise diverged(epoch, taus, "temperatures must be finite and > 0")
 
-    losses = np.stack(trace)
+    losses = np.stack(losses)
     return [(p, TrainingTrace(losses[:, r])) for r, p in enumerate(net.params())]

@@ -59,7 +59,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     d = io.load_dataset(args.data)
-    params, trace = calibrator.train(d, _train_config(args))
+    params, trace = calibrator.train(d, _train_config(args), trace=bool(args.trace))
     io.save_params(args.out, params)
     if args.trace:
         io.export_trace_csv(args.trace, trace)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_logits, exp_rows, predicted_labels, row_sums,
-                          shift_rows, stable_order, tau_column)
+from .tensor_math import (PROB_FLOOR, check_integers, check_logits, exp_rows, predicted_labels,
+                          row_sums, shift_rows, stable_order, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -82,9 +82,13 @@ class Decomposition:
 
 def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
     """Validate equal-length 1-D confidence and correctness vectors; every
-    confidence must lie in (0, 1]."""
+    confidence must lie in (0, 1], and correctness is bool or 0/1."""
     confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct, dtype=bool)
+    correct = np.asarray(correct)
+    if correct.dtype != bool:
+        if not np.all((correct == 0) | (correct == 1)):
+            raise InvalidInputError("correctness flags must be bool or 0/1")
+        correct = correct.astype(bool)
     if confidences.ndim != 1 or confidences.shape != correct.shape:
         raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
     if confidences.size == 0:
@@ -168,6 +172,16 @@ def mse_rows(P, labels) -> np.ndarray:
     return row_sums(residual, residual)
 
 
+def _checked_labels(labels, shape: tuple) -> np.ndarray:
+    """Labels for logits of ``shape``: integers of ``shape[:-1]`` in [0, C)."""
+    labels = check_integers(labels, "labels")
+    if labels.shape != shape[:-1]:
+        raise InvalidInputError(f"labels must have shape {shape[:-1]}, got {labels.shape}")
+    if labels.size and not (labels.min() >= 0 and labels.max() < shape[-1]):
+        raise InvalidInputError(f"labels must lie in [0, {shape[-1]})")
+    return labels
+
+
 class LogitBatch:
     """The temperature-free part of the batched losses, computed once:
     integer ``labels``, the row-max shifted logits ``S`` of
@@ -191,8 +205,9 @@ class LogitBatch:
 
     @classmethod
     def prepare(cls, Z, labels) -> "LogitBatch":
-        """Check an (n, C) logit matrix and derive everything but E."""
-        return cls(np.asarray(labels, dtype=np.int64), shift_rows(check_logits(Z)))
+        """Check an (n, C) logit matrix and its labels and derive everything but E."""
+        S = shift_rows(check_logits(Z))
+        return cls(_checked_labels(labels, S.shape), S)
 
     @classmethod
     def stack(cls, Zs, labels) -> "LogitBatch":
@@ -200,7 +215,7 @@ class LogitBatch:
         S = np.empty((len(Zs),) + np.shape(Zs[0]))
         for Z, out in zip(Zs, S):
             shift_rows(check_logits(Z), out=out)
-        return cls(np.stack([np.asarray(y, dtype=np.int64) for y in labels]), S)
+        return cls(_checked_labels(labels, S.shape), S)
 
     @property
     def predicted(self) -> np.ndarray:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, UndefinedMetricError
+from .errors import InvalidInputError, UndefinedMetricError
 from .losses import DiscrepancyMode, ca_loss_batch, check_pair
 from .records import Dataset, correctness_view
-from .tensor_math import stable_order
+from .tensor_math import check_count, stable_order
 
 DEFAULT_BINS = 25
 
@@ -39,8 +39,7 @@ def ece(confidences, correct, bins: int = DEFAULT_BINS) -> float:
     in the last bin; empty bins contribute nothing.
     """
     confidences, correct = check_pair(confidences, correct)
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+    check_count(bins, "bins", 1)
     edges = np.linspace(0.0, 1.0, bins + 1)
     # First edge >= c, minus one: the unique b with edges[b] < c <= edges[b+1].
     idx = np.searchsorted(edges, confidences, side="left") - 1

@@ -14,18 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_math import exp_rows, predicted_labels, shift_rows, top_confidence
+from .tensor_math import check_integers, exp_rows, predicted_labels, shift_rows, top_confidence
 
 # Transform softmax rows must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
-
-
-def _int_array(values, name: str) -> np.ndarray:
-    arr = np.array(values)
-    # Bool and float are refused, not truncated; an empty list has no dtype to check.
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise InvalidInputError(f"{name} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
 
 
 def _check_values(logits: np.ndarray, labels: np.ndarray, probs: np.ndarray) -> None:
@@ -55,7 +47,8 @@ class Dataset:
     def __init__(self, logits: np.ndarray, labels: np.ndarray, transform_probs: np.ndarray,
                  record_ids: np.ndarray | None = None, *, _owned: bool = False):
         logits = np.array(logits, dtype=np.float64, copy=not _owned)
-        labels = _int_array(labels, "labels")
+        # Copies: the dataset freezes its arrays, and the caller's stay writable.
+        labels = np.array(check_integers(labels, "labels"))
         probs = np.array(transform_probs, dtype=np.float64, copy=not _owned)
         if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n, C) with n >= 1, C >= 2, got {logits.shape}")
@@ -69,7 +62,7 @@ class Dataset:
         if record_ids is None:
             record_ids = np.arange(n, dtype=np.int64)
         else:
-            record_ids = _int_array(record_ids, "record_ids")
+            record_ids = np.array(check_integers(record_ids, "record_ids"))
             if record_ids.shape != (n,):
                 raise InvalidInputError("record_ids must match the number of records")
         for arr in (logits, labels, probs, record_ids):
@@ -94,7 +87,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """Selection-only subset; record contents are preserved bit-exactly."""
-        indices = _int_array(indices, "subset indices")
+        indices = check_integers(indices, "subset indices")
         if indices.size == 0:
             raise InvalidInputError("subset must keep at least one record")
         return Dataset(self.logits[indices], self.labels[indices],

@@ -16,6 +16,8 @@ clamped to ``PROB_FLOOR`` by the caller.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
@@ -32,6 +34,24 @@ def check_logits(Z) -> np.ndarray:
     if not np.all(np.isfinite(Z)):
         raise InvalidInputError("logit matrix contains non-finite entries")
     return Z
+
+
+def check_integers(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array. Bool and float are refused, not
+    truncated; an empty list has no dtype to check."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidInputError(f"{name} must be integers") from exc
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise InvalidInputError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def check_count(value, name: str, low: int) -> None:
+    """Raise DomainError unless ``value`` is an integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:

@@ -5,7 +5,8 @@ import pytest
 
 from calib_lab.analysis import (DEFAULT_BANDS, SURFACE_TEMPLATE, BandRow, default_a_grid,
                                 default_tau_grid, k_sweep, loss_surface, wrongness_experiment)
-from calib_lab.calibrator import TrainConfig, calibrate_dataset, train
+from calib_lab import analysis
+from calib_lab.calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
 from calib_lab.errors import DomainError, ShortfallError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
@@ -192,6 +193,32 @@ def test_k_sweep_rejects_k_above_class_count(small_pools):
     train_set, test_set = small_pools
     with pytest.raises(DomainError):
         k_sweep(train_set, test_set, [train_set.n_classes + 1], TrainConfig(epochs=1))
+
+
+def test_sweep_and_band_rows_equal_those_of_traced_training(small_pools, monkeypatch):
+    train_set, test_set = small_pools
+    cfg = TrainConfig(epochs=3, seed=2)
+
+    def rows():
+        return (k_sweep(train_set, test_set, [1, 4], cfg),
+                wrongness_experiment(train_set, test_set, cfg, bands=((0.5, 1.0), (0.0, 0.2)),
+                                     vary="train", train_wrong=80, train_correct=200))
+
+    untraced = rows()
+    passed = []
+
+    def traced(trainer):
+        """``trainer`` with the per-epoch trace, whatever its caller asks for."""
+        def call(data, config, trace):
+            passed.append(trace)
+            return trainer(data, config)
+        return call
+
+    monkeypatch.setattr(analysis, "train", traced(train))
+    monkeypatch.setattr(analysis, "train_stack", traced(train_stack))
+    # repr, so that a NaN AUROC compares equal to itself.
+    assert repr(rows()) == repr(untraced)
+    assert passed == [False] * 4
 
 
 def test_k_sweep_deterministic(small_pools):

@@ -397,6 +397,11 @@ def test_train_config_validation():
         train(d, TrainConfig(epochs=0))
     with pytest.raises(DomainError):
         train(d, TrainConfig(learning_rate=0.0))
+    # Each of these once escaped as a bare TypeError or numpy's ValueError.
+    for bad in (dict(k=2.5), dict(epochs=1.5), dict(batch_size=2.5), dict(seed=-1),
+                dict(epochs=True)):
+        with pytest.raises(DomainError):
+            train(d, TrainConfig(**bad))
 
 
 def test_training_peak_memory_is_within_two_and_a_half_logit_matrices():
@@ -415,12 +420,14 @@ def test_training_peak_memory_is_within_two_and_a_half_logit_matrices():
 
 # --- a stack of models trains as each model alone ---
 
-def training_digest(params, trace) -> str:
+def training_digest(params, trace=None) -> str:
+    """sha256 of the weights, and of the trace's losses if one is given."""
     h = hashlib.sha256()
     for w, b in params.layers:
         h.update(w.tobytes())
         h.update(b.tobytes())
-    h.update(trace.losses.tobytes())
+    if trace is not None:
+        h.update(trace.losses.tobytes())
     return h.hexdigest()
 
 
@@ -451,18 +458,49 @@ def test_stack_refuses_no_datasets():
         train_stack([], TrainConfig())
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
-def test_stack_divergence_names_the_model_and_its_epoch():
+@pytest.mark.parametrize("two_hidden", [False, True])
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_training_without_the_trace_keeps_params_initial_and_final(loss, two_hidden):
+    # 150 records in batches of 64: the last batch of every epoch is short.
+    datasets = [generate(SynthConfig(n=150, n_classes=10, seed=seed)) for seed in (25, 26)]
+    cfg = TrainConfig(loss=loss, two_hidden=two_hidden, epochs=3, batch_size=64, seed=8)
+    traced = [train(datasets[0], cfg)] + train_stack(datasets, cfg)
+    untraced = [train(datasets[0], cfg, trace=False)] + train_stack(datasets, cfg, trace=False)
+    for (p, trace), (q, short) in zip(traced, untraced):
+        assert training_digest(q) == training_digest(p)
+        assert trace.losses.size == cfg.epochs + 1
+        assert short.losses.tobytes() == trace.losses[[0, -1]].tobytes()
+
+
+def diverging_pair():
+    """A dataset that diverges at a huge learning rate, one that cannot, and the config."""
     d = generate(SynthConfig(n=100, seed=13))
     # Equal logits give every row the loss gradient 0, so Adam never moves that model.
     flat = Dataset(np.zeros_like(d.logits), d.labels, d.transform_probs)
-    cfg = TrainConfig(epochs=3, learning_rate=1e200, seed=0)
+    return d, flat, TrainConfig(epochs=3, learning_rate=1e200, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_stack_divergence_names_the_model_and_its_epoch():
+    d, flat, cfg = diverging_pair()
     with pytest.raises(TrainingDivergedError) as alone:
         train(d, cfg)
     assert train(flat, cfg)[1].losses.size == 4
     with pytest.raises(TrainingDivergedError, match="model 1 of 2") as stacked:
         train_stack([flat, d], cfg)
     assert stacked.value.epoch == alone.value.epoch
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergence_without_the_trace_names_the_same_model_and_epoch():
+    d, flat, cfg = diverging_pair()
+    with pytest.raises(TrainingDivergedError) as traced:
+        train_stack([flat, d], cfg)
+    assert train(flat, cfg, trace=False)[1].losses.size == 2
+    with pytest.raises(TrainingDivergedError, match="model 1 of 2") as untraced:
+        train_stack([flat, d], cfg, trace=False)
+    assert untraced.value.epoch == traced.value.epoch
+    assert str(untraced.value) == str(traced.value)
 
 
 @pytest.mark.parametrize("idx", [slice(3, None), slice(None, None, 2), np.array([4, 0, 0, 7])])

@@ -84,6 +84,10 @@ def test_train_writes_trace(tmp_path):
     rows = read_csv(trace)
     assert [r["epoch"] for r in rows] == ["0", "1", "2", "3"]
     assert all(float(r["loss"]) > 0 for r in rows)
+    # Without --trace the per-epoch losses are skipped, and the params do not change.
+    untraced = tmp_path / "q.json"
+    assert run(["train", "--data", str(data), "--out", str(untraced), "--epochs", "3"]) == 0
+    assert untraced.read_bytes() == params.read_bytes()
 
 
 def test_apply_emits_per_record_rows(tmp_path):

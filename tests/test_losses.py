@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from calib_lab.errors import DomainError
-from calib_lab.losses import (DiscrepancyMode, LossKind, ca_bounds, ca_loss_batch, decompose,
-                              dloss_dtau_batch, loss_values, mse_rows)
+from calib_lab.errors import DomainError, InvalidInputError
+from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, ca_bounds, ca_loss_batch,
+                              decompose, dloss_dtau_batch, loss_values, mse_rows)
 from calib_lab.tensor_math import row_softmax
 
 L1 = DiscrepancyMode.L1
@@ -130,6 +130,28 @@ def test_mse_loss_values():
     assert mse_rows(np.array([[0.0, 1.0, 0.0]]), [1])[0] == 0.0
     assert mse_rows(np.full((1, 4), 0.25), [3])[0] == pytest.approx(0.75, abs=1e-15)
     assert mse_rows(np.array([ORACLE_P]), [0])[0] == pytest.approx(0.9843149212862595, abs=1e-15)
+
+
+# Each bad label set once scored silently (-1 as class 2, [0, 1] as two rows, 1.7 as
+# label 1) or escaped as numpy's IndexError (3).
+BAD_LABELS = {"negative": [-1], "past_last_class": [3], "two_for_one_row": [0, 1],
+              "fractional": [1.7]}
+
+
+@pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+@pytest.mark.parametrize("fn", [loss_values, dloss_dtau_batch])
+def test_losses_refuse_bad_labels(fn, labels):
+    with pytest.raises(InvalidInputError, match="labels"):
+        fn([[0.0, 1.0, 2.0]], labels, 1.0, LossKind.CE)
+
+
+@pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+def test_stacked_batch_refuses_bad_labels(labels):
+    Z = [[0.0, 1.0, 2.0]]
+    with pytest.raises(InvalidInputError, match="labels"):
+        LogitBatch.stack([Z, Z], [[2], labels])
+    with pytest.raises(InvalidInputError, match="labels"):
+        LogitBatch.stack([Z, Z], [[2]])
 
 
 # --- temperature derivatives ---

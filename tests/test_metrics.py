@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from calib_lab.calibrator import constant_temperature_params, calibrate_dataset
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError, UndefinedMetricError
+from calib_lab.errors import DomainError, InvalidInputError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, ca_loss_batch
 from calib_lab.metrics import _midranks, auroc, brier_top_label, ece, ks_error, report
 from calib_lab.records import correctness_view, wrongness_ratios
@@ -218,6 +218,16 @@ def test_ece_rejects_bad_inputs():
         ece([1.5, 0.5], [True, False])
     with pytest.raises(DomainError):
         ece([0.5], [True], bins=0)
+    with pytest.raises(DomainError):
+        ece([0.5], [True], bins=1.5)
+
+
+@pytest.mark.parametrize("metric", [ece, brier_top_label, ks_error, auroc])
+def test_metrics_refuse_correctness_flags_other_than_0_and_1(metric):
+    # 0.3 once counted as correct by its truthiness.
+    with pytest.raises(InvalidInputError):
+        metric([0.5, 0.6], [0.3, 0.0])
+    assert metric([0.5, 0.6], [1, 0]) == metric([0.5, 0.6], [True, False])
 
 
 def test_report_uncalibrated_equals_identity_temperature():

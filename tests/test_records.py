@@ -118,7 +118,7 @@ def test_dataset_subset_preserves_contents():
 
 
 @pytest.mark.parametrize("labels,record_ids", [([1.5], None), ([True], None), ([1], [1.7]),
-                                               ([1], [True])])
+                                               ([1], [True]), ([[1], [0, 1]], None)])
 def test_dataset_refuses_non_integer_labels_and_ids(labels, record_ids):
     with pytest.raises(InvalidInputError):
         Dataset([[1.0, 0.0]], labels, [[[0.5, 0.5]]], record_ids=record_ids)

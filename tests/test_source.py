@@ -136,3 +136,61 @@ def test_scan_finds_a_bypassed_kernel():
 @pytest.mark.parametrize("module", KERNEL_MODULES)
 def test_row_sums_and_stable_orders_use_the_kernels(module):
     assert bypassed_kernels((SRC / f"{module}.py").read_text()) == []
+
+
+# Training pays for a full pass over the data per epoch only where its trace is read.
+TRAINERS = {"train", "train_stack"}
+
+
+def untraced_trainings(source: str) -> list[str]:
+    """Calls of ``train`` or ``train_stack`` that drop their trace without
+    passing ``trace=False``: the call's value discarded, or unpacked (in an
+    assignment, a ``for`` or a comprehension) into a pair whose trace is
+    ``_`` or a name that its function never reads."""
+    tree = ast.parse(source)
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Module)):
+            continue
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Expr):
+                value, target = node.value, None
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                value, target = node.value, node.targets[0]
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                value, target = node.iter, node.target
+            else:
+                continue
+            if not isinstance(value, ast.Call):
+                continue
+            name = getattr(value.func, "id", getattr(value.func, "attr", None))
+            if name not in TRAINERS or any(k.arg == "trace" and _literal(k.value) is False
+                                           for k in value.keywords):
+                continue
+            if target is None or (isinstance(target, ast.Tuple) and len(target.elts) == 2
+                                  and isinstance(target.elts[1], ast.Name)
+                                  and target.elts[1].id not in read):
+                found.add((value.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scan_finds_an_untraced_training():
+    source = ("def f(d, ds, c):\n"
+              "    p, _ = train(d, c)\n"
+              "    q, unread = calibrator.train(d, c)\n"
+              "    kept = [m for m, _ in train_stack(ds, c)]\n"
+              "    train(d, c)\n"
+              "    r, t = train(d, c)\n"
+              "    s, _ = train(d, c, trace=False)\n"
+              "    u, _ = train(d, c, trace=bool(t))\n"
+              "    return p, q, kept, r, t, s, u, train_stack(ds, c)\n")
+    assert untraced_trainings(source) == ["line 2: train", "line 3: train",
+                                          "line 4: train_stack", "line 5: train",
+                                          "line 8: train"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_dropped_trace_is_not_computed(path):
+    assert untraced_trainings(path.read_text()) == []
