@@ -15,7 +15,7 @@ from .datagen import craft_wrongness_set
 from .errors import DomainError
 from .losses import DiscrepancyMode, LossKind, loss_values
 from .records import Dataset, correctness_view
-from .tensor_math import row_softmax
+from .tensor_math import read_array, row_softmax
 
 # Four-way template with the ground truth on class 0 and the wrongly
 # predicted class fixed at logit 2.0.
@@ -69,8 +69,8 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
                  mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> SurfaceGrid:
     """Evaluate one loss on the wrongly predicted template sample
     [a, 2.0, 0.1, 0.05] (label 0) over a grid of a and tau."""
-    a_values = default_a_grid() if a_values is None else np.asarray(a_values, dtype=np.float64)
-    tau_values = default_tau_grid() if tau_values is None else np.asarray(tau_values, dtype=np.float64)
+    a_values = default_a_grid() if a_values is None else read_array(a_values, "a values")
+    tau_values = default_tau_grid() if tau_values is None else read_array(tau_values, "tau values")
     if a_values.size == 0 or tau_values.size == 0:
         raise DomainError("loss surface needs at least one a value and one tau value")
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
@@ -134,7 +134,6 @@ def k_sweep(train_set: Dataset, test_set: Dataset, k_values, config: TrainConfig
     auroc_uncal = metrics.auroc(view.confidence, view.correct)
     rows = []
     for k in k_values:
-        k = int(k)
         params, _ = train(train_set, replace(config, k=k), trace=False)
         _, conf = calibrate_dataset(params, test_set)
         rows.append(KSweepRow(

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import row_sums, shift_rows, top_confidence
+from .tensor_math import check_real, row_sums, shift_rows, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -29,8 +28,7 @@ class GlobalTemp:
     tau: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise DomainError(f"global temperature must be > 0, got {self.tau}")
+        check_real(self.tau, "global temperature", 0.0)
 
 
 def nll_objective(d: Dataset, tau: float) -> float:

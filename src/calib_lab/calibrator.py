@@ -22,10 +22,14 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
-from .tensor_math import check_count, sigmoid, softplus, top_confidence, top_k_indices
+from .tensor_math import (check_count, check_real, read_array, sigmoid, softplus, top_confidence,
+                          top_k_indices)
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
+# The loss tau-derivatives divide by tau * tau, which overflows above about 1.3e154
+# and turns every gradient into 0; this bound leaves room for the softplus on top.
+TAU_MIN_MAX = 1e100
 # Adam's moment decay rates and denominator guard.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -33,21 +37,8 @@ ADAM_EPS = 1e-8
 
 
 def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only float64 copy of a weight array, named by its
-    parameter-file key. Only integers and floats are numbers here:
-    strings, bools and objects are refused, not coerced."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise InvalidInputError(f"parameter field {name!r} is not numeric") from exc
-    if arr.dtype.kind not in "iuf":
-        raise InvalidInputError(f"parameter field {name!r} is not numeric")
-    arr = np.array(arr, dtype=np.float64)
-    if arr.shape != shape:
-        raise InvalidInputError(f"parameter field {name!r} has shape {arr.shape}, "
-                                f"expected {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"parameter field {name!r} contains non-finite values")
+    """Read-only float64 copy of a weight array, named by its parameter-file key."""
+    arr = np.array(read_array(value, f"parameter field {name!r}", shape=shape, finite=True))
     arr.setflags(write=False)
     return arr
 
@@ -62,6 +53,13 @@ def layer_keys(depth: int) -> tuple[tuple[str, str], ...]:
     if depth not in (2, 3):
         raise InvalidInputError(f"the network has 2 or 3 layers, got {depth}")
     return LAYER_KEYS if depth == 3 else (LAYER_KEYS[0], LAYER_KEYS[-1])
+
+
+def layer_widths(n_transforms: int, k: int, depth: int) -> tuple[int, ...]:
+    """Widths of a ``depth``-layer net, input to output: M*k, 5 per hidden layer, 1."""
+    for key, value in (("M", n_transforms), ("k", k)):
+        check_count(value, f"parameter field {key!r}", 1, error=InvalidInputError)
+    return (n_transforms * k,) + (HIDDEN_WIDTH,) * (depth - 1) + (1,)
 
 
 @dataclass(frozen=True)
@@ -80,16 +78,17 @@ class CalibratorParams:
     k: int
 
     def __post_init__(self):
-        # Copy before freezing so caller-owned arrays keep their flags.
         keys = layer_keys(len(self.layers))
-        widths = (self.input_width,) + (HIDDEN_WIDTH,) * (len(keys) - 1) + (1,)
+        check_count(self.n_classes, "parameter field 'C'", 2, error=InvalidInputError)
+        widths = layer_widths(self.n_transforms, self.k, len(keys))
+        check_count(self.k, "parameter field 'k'", 1, self.n_classes, InvalidInputError)
+        # Copy before freezing so caller-owned arrays keep their flags.
         layers = tuple((_weights(w_key, w, (fan_out, fan_in)), _weights(b_key, b, (fan_out,)))
                        for (w_key, b_key), (w, b), fan_in, fan_out
                        in zip(keys, self.layers, widths, widths[1:]))
-        if not (np.isfinite(self.tau_min) and self.tau_min > 0):
-            raise InvalidInputError(f"tau_min must be finite and > 0, got {self.tau_min}")
-        if not 1 <= self.k <= self.n_classes:
-            raise InvalidInputError(f"k={self.k} outside [1, {self.n_classes}]")
+        tau_min = float(read_array(self.tau_min, "parameter field 'tau_min'", shape=()))
+        object.__setattr__(self, "tau_min", check_real(tau_min, "tau_min", 0.0, TAU_MIN_MAX,
+                                                       error=InvalidInputError))
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -127,15 +126,11 @@ class TrainConfig:
     tau_min: float = DEFAULT_TAU_MIN
     two_hidden: bool = False
 
-    def validate(self, n_classes: int) -> None:
+    def __post_init__(self):
         for name, low in (("k", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_count(getattr(self, name), name, low)
-        if self.k > n_classes:
-            raise DomainError(f"k={self.k} outside [1, {n_classes}]")
-        if not self.learning_rate > 0:
-            raise DomainError("learning rate must be > 0")
-        if not (np.isfinite(self.tau_min) and self.tau_min > 0):
-            raise DomainError(f"tau_min must be finite and > 0, got {self.tau_min}")
+        check_real(self.learning_rate, "learning rate", 0.0)
+        check_real(self.tau_min, "tau_min", 0.0, TAU_MIN_MAX)
 
 
 @dataclass(frozen=True)
@@ -190,12 +185,22 @@ def _forward_trace(p: CalibratorParams, F: np.ndarray):
     return inputs, o, softplus(o) + p.tau_min
 
 
-def forward_batch(p: CalibratorParams, F: np.ndarray) -> np.ndarray:
-    """Temperatures for a feature matrix, shape (n,)."""
-    F = np.asarray(F, dtype=np.float64)
+def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
+    """Raw features as a float64 (n, M*k) matrix, or (R, n, M*k) for a stack."""
+    F = read_array(F, "features", finite=finite)
     if F.ndim != p.layers[0][0].ndim or F.shape[-1] != p.input_width:
         raise DomainError(f"features must have shape (n, {p.input_width}), got {F.shape}")
-    return _forward_trace(p, F)[2]
+    return F
+
+
+def forward_batch(p: CalibratorParams, F) -> np.ndarray:
+    """Temperatures for a finite feature matrix, shape (n,). Features that
+    overflow the network raise DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        taus = _forward_trace(p, _read_features(p, F, finite=True))[2]
+    if not np.all(np.isfinite(taus)):
+        raise DomainError("temperatures must be finite and > 0")
+    return taus
 
 
 def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +231,7 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
     gradient is the mean of per-sample gradients. ``Z`` may be a
     :class:`~calib_lab.losses.LogitBatch` with ``labels=None``. A stack of
     models gives stacked gradients."""
-    F = np.asarray(F, dtype=np.float64)
+    F = _read_features(p, F)
     n = F.shape[-2]
     if n == 0:
         raise DomainError("batch must be non-empty")
@@ -245,23 +250,24 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
 
 
 def softplus_inverse(y: float) -> float:
-    """Solve softplus(x) = y for y > 0; stable for large y."""
+    """Solve softplus(x) = y for y > 0: x = y + log(1 - e^-y), accurate for any y."""
     if not y > 0:
         raise DomainError("softplus inverse requires a positive value")
-    return float(y + np.log1p(-np.exp(-y)))
+    return float(y + np.log(-np.expm1(-y)))
 
 
 def init_params(n_classes: int, n_transforms: int, k: int, *, tau_min: float = DEFAULT_TAU_MIN,
                 seed: int = 0, two_hidden: bool = False) -> CalibratorParams:
     """Seeded uniform [-a, a] weight init with a = sqrt(6/(fan_in+fan_out));
     biases start at zero."""
+    widths = layer_widths(n_transforms, k, 3 if two_hidden else 2)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def uniform_init(fan_in, fan_out):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-a, a, size=(fan_out, fan_in))
 
-    widths = (n_transforms * k,) + (HIDDEN_WIDTH,) * (2 if two_hidden else 1) + (1,)
     layers = [(uniform_init(fan_in, fan_out), np.zeros(fan_out))
               for fan_in, fan_out in zip(widths, widths[1:])]
     return CalibratorParams(layers=layers, tau_min=tau_min, n_classes=n_classes,
@@ -271,13 +277,10 @@ def init_params(n_classes: int, n_transforms: int, k: int, *, tau_min: float = D
 def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k: int,
                                 tau_min: float = DEFAULT_TAU_MIN) -> CalibratorParams:
     """Zero-weight calibrator emitting the same temperature for every input."""
-    if not tau > tau_min:
-        raise DomainError(f"tau must exceed tau_min={tau_min}")
-    d_in = n_transforms * k
-    return CalibratorParams(
-        layers=[(np.zeros((HIDDEN_WIDTH, d_in)), np.zeros(HIDDEN_WIDTH)),
-                (np.zeros((1, HIDDEN_WIDTH)), [softplus_inverse(tau - tau_min)])],
-        tau_min=tau_min, n_classes=n_classes, n_transforms=n_transforms, k=k)
+    p = init_params(n_classes, n_transforms, k, tau_min=tau_min)
+    bias = softplus_inverse(check_real(tau, "tau", p.tau_min) - p.tau_min)
+    layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
+    return replace(p, layers=layers[:-1] + [(layers[-1][0], [bias])])
 
 
 class _FlatParams:
@@ -324,6 +327,7 @@ def train(d: Dataset, config: TrainConfig, *,
     return train_stack([d], config, trace=trace)[0]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     """Adam-train one calibrator per dataset under one config, as a stack:
     a (params, trace) pair per dataset.
@@ -333,7 +337,8 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     permutation stream, so model r is ``train(datasets[r], config)`` bit
     for bit; the stack only shares the per-step overhead. Raises
     :class:`TrainingDivergedError` at the first epoch where some model's
-    loss, temperatures or weights become non-finite, naming its position.
+    loss, temperatures, weights or Adam moments become non-finite, naming its
+    position; a floating-point overflow mid-run shows only as that error.
 
     With ``trace=False`` the full-set loss, a second pass over the data,
     is computed only before the first epoch and after the last, so each
@@ -346,7 +351,7 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     if len(shapes) != 1:
         raise DomainError(f"a stack needs datasets of one (n, C, M) shape, got {sorted(shapes)}")
     ((n, n_classes, n_transforms),) = shapes
-    config.validate(n_classes)
+    check_count(config.k, "k", 1, n_classes)
     F = np.stack([feature_matrix(d, config.k) for d in datasets])
     data = LogitBatch.stack([d.logits for d in datasets], [d.labels for d in datasets])
 
@@ -373,8 +378,7 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
         except (DomainError, InvalidInputError) as exc:
             # Inputs were validated up front, so a non-finite temperature
             # or parameter mid-run means the optimization blew up.
-            with np.errstate(all="ignore"):
-                raise diverged(epoch, _forward_trace(net, features)[2], exc) from exc
+            raise diverged(epoch, _forward_trace(net, features)[2], exc) from exc
 
     def full_loss(epoch: int) -> np.ndarray:
         values = run(batch_loss, epoch, F, data)
@@ -408,6 +412,9 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
             theta -= update
             if not np.all(np.isfinite(theta)):
                 raise diverged(epoch, theta)
+        # An overflowed g * g leaves theta finite but stops Adam moving those weights.
+        if not np.all(np.isfinite(adam_v)):
+            raise diverged(epoch, adam_v)
         if trace or epoch == config.epochs:
             losses.append(full_loss(epoch))
         elif not np.all(np.isfinite(taus := _forward_trace(net, F)[2])):

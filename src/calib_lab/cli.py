@@ -21,9 +21,10 @@ import sys
 import numpy as np
 
 from . import analysis, baselines, calibrator, datagen, io, metrics
-from .errors import CalibrationError, DomainError
+from .errors import CalibrationError
 from .losses import DiscrepancyMode, LossKind
 from .records import correctness_view
+from .tensor_math import check_real
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -95,8 +96,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    if not (np.isfinite(args.a_step) and args.a_step > 0):
-        raise DomainError(f"--a-step must be finite and > 0, got {args.a_step}")
+    check_real(args.a_step, "--a-step", 0.0)
     a_values = np.linspace(args.a_min, args.a_max,
                            int(round((args.a_max - args.a_min) / args.a_step)) + 1)
     tau_values = np.geomspace(args.tau_lo, args.tau_hi, args.tau_points)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShortfallError
+from .errors import ShortfallError
 from .records import Dataset, correctness_view, wrongness_ratios
-from .tensor_math import predicted_labels
+from .tensor_math import check_count, check_real, predicted_labels
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,15 @@ class SynthConfig:
     wrongness_skew: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_classes < 2:
-            raise DomainError("n_classes must be >= 2")
-        if self.n_transforms < 1:
-            raise DomainError("n_transforms must be >= 1")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if not 0.0 < self.target_rho <= 1.0:
-            raise DomainError("target_rho must lie in (0, 1]")
-        if not self.sharpness > 0:
-            raise DomainError("sharpness must be > 0")
+    def __post_init__(self):
+        for name, low in (("n_classes", 2), ("n_transforms", 1), ("n", 1), ("seed", 0)):
+            check_count(getattr(self, name), name, low)
+        check_real(self.target_rho, "target_rho", 0.0, 1.0)
         for name in ("p_agree_correct", "p_agree_wrong"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [0, 1], got {v}")
-        if self.noise < 0:
-            raise DomainError("noise must be >= 0")
-        if not self.concentration > 0:
-            raise DomainError("concentration must be > 0")
-        if not self.wrongness_skew > 0:
-            raise DomainError("wrongness_skew must be > 0")
+            check_real(getattr(self, name), name, 0.0, 1.0, closed=True)
+        check_real(self.noise, "noise", 0.0, closed=True)
+        for name in ("sharpness", "concentration", "wrongness_skew"):
+            check_real(getattr(self, name), name, 0.0)
 
 
 def _random_other(rng: np.random.Generator, base: np.ndarray, n_classes: int) -> np.ndarray:
@@ -71,7 +59,6 @@ def _random_other(rng: np.random.Generator, base: np.ndarray, n_classes: int) ->
 
 def generate(cfg: SynthConfig) -> Dataset:
     """Draw a dataset; fully determined by the seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n, c, m = cfg.n, cfg.n_classes, cfg.n_transforms
     rows = np.arange(n)
@@ -81,12 +68,14 @@ def generate(cfg: SynthConfig) -> Dataset:
     predicted = labels.copy()
     predicted[~correct] = _random_other(rng, labels[~correct], c)
 
-    logits = rng.normal(0.0, cfg.noise, size=(n, c))
-    logits[rows, predicted] += cfg.sharpness
-    # Wrongness spectrum: lift the true class by a random fraction of the
-    # peak. Exponents below 1 skew the spectrum toward narrow misses.
-    wrong_lift = (rng.random(n) ** cfg.wrongness_skew) * cfg.sharpness
-    logits[~correct, labels[~correct]] += wrong_lift[~correct]
+    logits = rng.normal(0.0, abs(cfg.noise), size=(n, c))  # numpy refuses a scale of -0.0
+    # A logit beyond the float range becomes inf, which Dataset refuses by row.
+    with np.errstate(over="ignore"):
+        logits[rows, predicted] += cfg.sharpness
+        # Wrongness spectrum: lift the true class by a random fraction of the
+        # peak. Exponents below 1 skew the spectrum toward narrow misses.
+        wrong_lift = (rng.random(n) ** cfg.wrongness_skew) * cfg.sharpness
+        logits[~correct, labels[~correct]] += wrong_lift[~correct]
     # Noise can overturn the intended argmax; swap it back into place.
     top = predicted_labels(logits)
     off = top != predicted
@@ -121,10 +110,10 @@ def craft_wrongness_set(d: Dataset, ratio_low: float, ratio_high: float, count: 
     with the first ``n_correct`` correctly predicted records (for
     training-set crafting). Selection only; record contents are
     untouched."""
-    if not 0.0 <= ratio_low < ratio_high:
-        raise DomainError(f"invalid ratio band [{ratio_low}, {ratio_high})")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    ratio_low = check_real(ratio_low, "ratio_low", 0.0, closed=True)
+    ratio_high = check_real(ratio_high, "ratio_high", ratio_low)
+    check_count(count, "count", 1)
+    check_count(n_correct, "n_correct", 0)
     ratios = wrongness_ratios(d)
     with np.errstate(invalid="ignore"):
         in_band = (ratios >= ratio_low) & (ratios < ratio_high)

@@ -27,6 +27,7 @@ from .calibrator import CalibratorParams, TrainingTrace, layer_keys
 from .errors import DatasetFormatError, InvalidInputError, UnsupportedVersionError
 from .metrics import MetricsReport
 from .records import PROB_SUM_TOL, Dataset
+from .tensor_math import read_array
 
 PARAMS_VERSION = 1
 
@@ -181,21 +182,11 @@ def load_params(path) -> CalibratorParams:
     for key in ("C", "M", "k", "tau_min") + sum(keys, ()):
         if key not in obj:
             raise InvalidInputError(f"parameter file is missing field {key!r}")
-    c, m, k, tau_min = obj["C"], obj["M"], obj["k"], obj["tau_min"]
-    # bool is an int subclass, so JSON true/false must be rejected by name.
-    for name in ("C", "M", "k"):
-        if not isinstance(obj[name], int) or isinstance(obj[name], bool) or obj[name] < 1:
-            raise InvalidInputError(f"parameter field {name!r} must be a positive integer")
-    if not isinstance(tau_min, (int, float)) or isinstance(tau_min, bool):
-        raise InvalidInputError("parameter field 'tau_min' must be a number")
-    try:
-        tau_min = float(tau_min)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise InvalidInputError("parameter field 'tau_min' is beyond the float range") from exc
     layers = [[obj[w_key], obj[b_key]] for w_key, b_key in keys]
     layers[-1][1] = [obj["b2"]]
-    # CalibratorParams checks every weight array's values and shape.
-    return CalibratorParams(layers=layers, tau_min=tau_min, n_classes=c, n_transforms=m, k=k)
+    # CalibratorParams checks every field's type, shape and value.
+    return CalibratorParams(layers=layers, tau_min=obj["tau_min"], n_classes=obj["C"],
+                            n_transforms=obj["M"], k=obj["k"])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -253,8 +244,11 @@ def export_trace_csv(path, trace: TrainingTrace) -> None:
 
 
 def export_confidence_csv(path, record_ids, labels, predicted, correct, taus, confidences) -> None:
-    ints = (np.asarray(c).astype(np.int64).tolist()
-            for c in (record_ids, labels, predicted, correct))
-    floats = (np.asarray(c, dtype=np.float64).tolist() for c in (taus, confidences))
+    columns = [read_array(c, "confidence CSV columns", kinds) for c, kinds in zip(
+        (record_ids, labels, predicted, correct, taus, confidences), ["biu"] * 4 + ["iuf"] * 2)]
+    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+        raise InvalidInputError("confidence CSV columns must be vectors of one length")
+    ints = (c.astype(np.int64).tolist() for c in columns[:4])
+    floats = (c.tolist() for c in columns[4:])
     _write_csv(path, ("record_id", "label", "predicted", "correct", "tau", "confidence"),
                zip(*ints, *floats))

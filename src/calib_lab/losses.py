@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_integers, check_logits, exp_rows, predicted_labels,
-                          row_sums, shift_rows, stable_order, tau_column)
+from .tensor_math import (PROB_FLOOR, check_count, check_integers, check_logits, check_pair,
+                          check_real, exp_rows, predicted_labels, row_sums, shift_rows,
+                          stable_order, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -80,25 +81,6 @@ class Decomposition:
         return self.rho >= 0.5
 
 
-def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
-    """Validate equal-length 1-D confidence and correctness vectors; every
-    confidence must lie in (0, 1], and correctness is bool or 0/1."""
-    confidences = np.asarray(confidences, dtype=np.float64)
-    correct = np.asarray(correct)
-    if correct.dtype != bool:
-        if not np.all((correct == 0) | (correct == 1)):
-            raise InvalidInputError("correctness flags must be bool or 0/1")
-        correct = correct.astype(bool)
-    if confidences.ndim != 1 or confidences.shape != correct.shape:
-        raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
-    if confidences.size == 0:
-        raise DomainError("batch must be non-empty")
-    # The comparisons are False for NaN, so this also rejects non-finite values.
-    if not np.all((confidences > 0.0) & (confidences <= 1.0)):
-        raise DomainError("confidences must lie in (0, 1]")
-    return confidences, correct
-
-
 def _discrepancy(residual: np.ndarray, mode: DiscrepancyMode) -> np.ndarray:
     return np.abs(residual) if mode is DiscrepancyMode.L1 else residual * residual
 
@@ -111,10 +93,8 @@ def ca_loss_batch(confidences, correct, mode: DiscrepancyMode = DiscrepancyMode.
 
 def ca_bounds(rho: float, n_classes: int) -> LossBounds:
     """Lower/upper bound of the batch L1 loss given accuracy rho and C classes."""
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    if n_classes < 2:
-        raise DomainError(f"class count must be >= 2, got {n_classes}")
+    rho = check_real(rho, "rho", 0.0, 1.0, closed=True)
+    check_count(n_classes, "class count", 2)
     lower = (1.0 - rho) / n_classes
     upper = lower + (n_classes - 1) / n_classes
     return LossBounds(lower=lower, upper=upper, rho=rho, n_classes=n_classes)
@@ -174,9 +154,7 @@ def mse_rows(P, labels) -> np.ndarray:
 
 def _checked_labels(labels, shape: tuple) -> np.ndarray:
     """Labels for logits of ``shape``: integers of ``shape[:-1]`` in [0, C)."""
-    labels = check_integers(labels, "labels")
-    if labels.shape != shape[:-1]:
-        raise InvalidInputError(f"labels must have shape {shape[:-1]}, got {labels.shape}")
+    labels = check_integers(labels, "labels", shape[:-1])
     if labels.size and not (labels.min() >= 0 and labels.max() < shape[-1]):
         raise InvalidInputError(f"labels must lie in [0, {shape[-1]})")
     return labels

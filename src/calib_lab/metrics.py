@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedMetricError
-from .losses import DiscrepancyMode, ca_loss_batch, check_pair
+from .errors import UndefinedMetricError
+from .losses import DiscrepancyMode, ca_loss_batch
 from .records import Dataset, correctness_view
-from .tensor_math import check_count, stable_order
+from .tensor_math import check_count, check_pair, stable_order
 
 DEFAULT_BINS = 25
 
@@ -98,9 +98,6 @@ def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsRep
     view = correctness_view(d)
     if confidences is None:
         confidences = view.confidence
-    confidences = np.asarray(confidences, dtype=np.float64)
-    if confidences.shape != (d.n,):
-        raise InvalidInputError(f"confidences must have shape ({d.n},), got {confidences.shape}")
     try:
         auc = auroc(confidences, view.correct)
     except UndefinedMetricError:

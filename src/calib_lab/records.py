@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_math import check_integers, exp_rows, predicted_labels, shift_rows, top_confidence
+from .tensor_math import (check_integers, exp_rows, predicted_labels, read_array, shift_rows,
+                          top_confidence)
 
 # Transform softmax rows must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
@@ -46,25 +47,19 @@ class Dataset:
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, transform_probs: np.ndarray,
                  record_ids: np.ndarray | None = None, *, _owned: bool = False):
-        logits = np.array(logits, dtype=np.float64, copy=not _owned)
-        # Copies: the dataset freezes its arrays, and the caller's stay writable.
-        labels = np.array(check_integers(labels, "labels"))
-        probs = np.array(transform_probs, dtype=np.float64, copy=not _owned)
+        logits = np.array(read_array(logits, "logits"), copy=not _owned)
         if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n, C) with n >= 1, C >= 2, got {logits.shape}")
         n, c = logits.shape
-        if labels.shape != (n,):
-            raise InvalidInputError(f"labels must have shape ({n},), got {labels.shape}")
+        # Copies: the dataset freezes its arrays, and the caller's stay writable.
+        labels = np.array(check_integers(labels, "labels", (n,)))
+        probs = np.array(read_array(transform_probs, "transform_probs"), copy=not _owned)
         if probs.ndim != 3 or probs.shape != (n, probs.shape[1], c) or probs.shape[1] < 1:
             raise InvalidInputError(
                 f"transform_probs must have shape ({n}, M, {c}) with M >= 1, got {probs.shape}")
         _check_values(logits, labels, probs)
-        if record_ids is None:
-            record_ids = np.arange(n, dtype=np.int64)
-        else:
-            record_ids = np.array(check_integers(record_ids, "record_ids"))
-            if record_ids.shape != (n,):
-                raise InvalidInputError("record_ids must match the number of records")
+        record_ids = (np.arange(n, dtype=np.int64) if record_ids is None
+                      else np.array(check_integers(record_ids, "record_ids", (n,))))
         for arr in (logits, labels, probs, record_ids):
             arr.setflags(write=False)
         self.logits = logits

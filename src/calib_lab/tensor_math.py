@@ -11,7 +11,8 @@ temperature (a scalar or one per row) and normalises E;
 A single sample is a one-row matrix. ``predicted_labels`` is the one
 definition of the predicted class (argmax of the logits, which no
 temperature can move). Probabilities destined for a logarithm are
-clamped to ``PROB_FLOOR`` by the caller.
+clamped to ``PROB_FLOOR`` by the caller. Raw input is read and refused
+here alone, by ``read_array`` and the ``check_*`` helpers.
 """
 
 from __future__ import annotations
@@ -26,32 +27,74 @@ from .errors import DomainError, InvalidInputError
 PROB_FLOOR = 1e-12
 
 
-def check_logits(Z) -> np.ndarray:
-    """An (n, C) logit matrix as float64, checked to hold only finite entries."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInputError("logit matrix contains non-finite entries")
-    return Z
-
-
-def check_integers(values, name: str) -> np.ndarray:
-    """``values`` as an int64 array. Bool and float are refused, not
-    truncated; an empty list has no dtype to check."""
+def read_array(values, name: str, kinds: str = "iuf", *, shape: tuple | None = None,
+               finite: bool = False) -> np.ndarray:
+    """``values`` as an array whose dtype kind (numpy's code) is one of ``kinds``:
+    integers and floats by default, returned as float64. Ragged nesting, any
+    other kind (strings, bools, objects, integers beyond 64 bits), a shape
+    other than ``shape`` and, if ``finite``, a NaN or an infinity raise
+    InvalidInputError; an empty array has no kind."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
-        raise InvalidInputError(f"{name} must be integers") from exc
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise InvalidInputError(f"{name} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+        raise InvalidInputError(f"{name} must be a rectangular array") from exc
+    if arr.size and arr.dtype.kind not in kinds:
+        raise InvalidInputError(f"{name} cannot hold {arr.dtype} values")
+    if shape is not None and arr.shape != shape:
+        raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} holds non-finite entries")
+    return arr.astype(np.float64, copy=False) if kinds == "iuf" else arr
 
 
-def check_count(value, name: str, low: int) -> None:
-    """Raise DomainError unless ``value`` is an integer, not a bool, >= ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_logits(Z) -> np.ndarray:
+    """An (n, C) logit matrix as float64, checked to hold only finite entries."""
+    Z = read_array(Z, "logits", finite=True)
+    if Z.ndim != 2:
+        raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
+    return Z
+
+
+def check_integers(values, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as int64, of ``shape`` if given; bools and floats are refused."""
+    return read_array(values, name, "iu", shape=shape).astype(np.int64, copy=False)
+
+
+def check_count(value, name: str, low: int, high: int = 2 ** 63 - 1, error=DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an integer, not a bool, in [``low``, ``high``]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not low <= value <= high:
+        raise error(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+def check_real(value, name: str, low: float, high: float = np.inf, *, closed: bool = False,
+               error=DomainError) -> float:
+    """``value`` read by :func:`read_array` as a float; ``error`` unless it is finite,
+    above ``low`` (or equal to it if ``closed``) and at most ``high``."""
+    v = float(read_array(value, name, shape=()))
+    if not (np.isfinite(v) and (low <= v if closed else low < v) and v <= high):
+        bound = f"{'>=' if closed else '>'} {low:g}" + (f" and <= {high:g}" if high < np.inf else "")
+        raise error(f"{name} must be finite and {bound}, got {value!r}")
+    return v
+
+
+def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
+    """Validate equal-length 1-D confidence and correctness vectors; every
+    confidence must lie in (0, 1], and correctness is bool or 0/1."""
+    confidences = read_array(confidences, "confidences")
+    correct = read_array(correct, "correctness flags", "biuf")
+    if correct.dtype != bool:
+        if not np.all((correct == 0) | (correct == 1)):
+            raise InvalidInputError("correctness flags must be bool or 0/1")
+        correct = correct.astype(bool)
+    if confidences.ndim != 1 or confidences.shape != correct.shape:
+        raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
+    if confidences.size == 0:
+        raise DomainError("batch must be non-empty")
+    # The comparisons are False for NaN, so this also rejects non-finite values.
+    if not np.all((confidences > 0.0) & (confidences <= 1.0)):
+        raise DomainError("confidences must lie in (0, 1]")
+    return confidences, correct
 
 
 def shift_rows(Z: np.ndarray, out=None) -> np.ndarray:
@@ -68,7 +111,7 @@ def tau_column(taus, rows: tuple) -> np.ndarray:
     """Checked temperatures shaped to divide rows of leading shape ``rows``,
     (n,) or (R, n): a scalar stays a scalar, one temperature per row,
     shaped like ``rows``, becomes a column of shape ``rows + (1,)``."""
-    taus = np.asarray(taus, dtype=np.float64)
+    taus = read_array(taus, "temperatures")
     if not np.all(np.isfinite(taus) & (taus > 0)):
         raise DomainError("temperatures must be finite and > 0")
     if taus.ndim and taus.shape == rows:
@@ -148,13 +191,10 @@ def top_k_indices(v, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis of a finite
     vector or matrix, descending; ties favor the smaller index. A
     C-contiguous (k,) or (n, k) array."""
-    v = np.array(v, dtype=np.float64)
+    v = np.array(read_array(v, "top-k input", finite=True))  # a copy: the passes write to it
     if v.ndim not in (1, 2):
         raise InvalidInputError(f"expected a vector or a matrix, got shape {v.shape}")
-    if not 1 <= k <= v.shape[-1]:
-        raise DomainError(f"k must satisfy 1 <= k <= {v.shape[-1]}, got {k}")
-    if not np.all(np.isfinite(v)):
-        raise InvalidInputError("top-k input contains non-finite entries")
+    check_count(k, "k", 1, v.shape[-1])
     # k argmax passes over one copy, each masking the previous pick with -inf:
     # argmax returns the first maximum, so ties come out in index order.
     rows = v.reshape(-1, v.shape[-1])

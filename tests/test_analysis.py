@@ -193,6 +193,9 @@ def test_k_sweep_rejects_k_above_class_count(small_pools):
     train_set, test_set = small_pools
     with pytest.raises(DomainError):
         k_sweep(train_set, test_set, [train_set.n_classes + 1], TrainConfig(epochs=1))
+    # k = 2.5 was once trained as k = 2 and written as a row with k = 2.
+    with pytest.raises(DomainError):
+        k_sweep(train_set, test_set, [2.5], TrainConfig(epochs=1))
 
 
 def test_sweep_and_band_rows_equal_those_of_traced_training(small_pools, monkeypatch):

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from calib_lab.calibrator import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CalibratorParams,
-                                  TrainConfig, batch_loss, calibrate_dataset,
+from calib_lab.calibrator import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TAU_MIN_MAX,
+                                  CalibratorParams, TrainConfig, batch_loss, calibrate_dataset,
                                   constant_temperature_params, feature_matrix, forward_batch,
                                   grad_params, init_params, train, train_stack)
 from calib_lab.datagen import SynthConfig, generate
@@ -118,6 +118,40 @@ def test_forward_rejects_dimension_mismatch():
     p = init_params(6, 2, 3, seed=0)
     with pytest.raises(DomainError):
         forward_batch(p, np.zeros((1, 5)))
+
+
+# Ragged and string features once escaped as numpy's bare ValueError.
+def test_forward_refuses_ragged_features():
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        forward_batch(init_params(10, 3, 4), [[0.0] * 12, [0.0]])
+
+
+def test_forward_refuses_string_features():
+    with pytest.raises(InvalidInputError, match="cannot hold <U1 values"):
+        forward_batch(init_params(10, 3, 4), [["a"] * 12])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_forward_refuses_non_finite_features(bad):
+    # NaN once came back as a NaN temperature, or a RuntimeWarning under -W error.
+    F = np.zeros((2, 12))
+    F[1, 3] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        forward_batch(init_params(10, 3, 4), F)
+
+
+def test_grad_params_refuses_ragged_logits():
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        grad_params(init_params(2, 1, 2), np.zeros((2, 2)), [[0.0, 1.0], [0.0]], [0, 1])
+
+
+def test_init_params_refuses_counts_that_are_not_integers():
+    # k = 2.5 once raised a bare TypeError.
+    for args in ((10, 3, 2.5), (10, 3.0, 2), (2.5, 3, 2)):
+        with pytest.raises(InvalidInputError):
+            init_params(*args)
+    with pytest.raises(DomainError):
+        init_params(10, 3, 2, seed=-1)
 
 
 def test_two_hidden_layer_variant():
@@ -402,6 +436,35 @@ def test_train_config_validation():
                 dict(epochs=True)):
         with pytest.raises(DomainError):
             train(d, TrainConfig(**bad))
+    # A config checks itself when it is made, and so does each replace().
+    for bad in (dict(k=2.5), dict(learning_rate=np.inf), dict(tau_min=np.nan),
+                dict(tau_min=1e300)):
+        with pytest.raises(DomainError):
+            TrainConfig(**bad)
+        with pytest.raises(DomainError):
+            replace(TrainConfig(), **bad)
+    with pytest.raises(DomainError, match="tau_min must be finite and > 0 and <= 1e"):
+        TrainConfig(tau_min=TAU_MIN_MAX * 1.0001)
+    with pytest.raises(InvalidInputError):
+        TrainConfig(learning_rate="0.01")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("two_hidden", [False, True])
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_training_at_the_tau_min_bound_stays_finite(kind, two_hidden):
+    # Above about 1.3e154, tau * tau in the loss derivatives once overflowed: a
+    # RuntimeWarning, and every gradient 0.
+    d = generate(SynthConfig(n=120, seed=17))
+    cfg = TrainConfig(loss=kind, epochs=2, batch_size=32, tau_min=TAU_MIN_MAX,
+                      two_hidden=two_hidden)
+    params, trace = train(d, cfg)
+    assert params.tau_min == TAU_MIN_MAX
+    assert np.all(np.isfinite(trace.losses))
+    assert all(np.all(np.isfinite(a)) for layer in params.layers for a in layer)
+    taus, confidences = calibrate_dataset(params, d)
+    assert np.all(taus >= TAU_MIN_MAX) and np.all(np.isfinite(taus))
+    assert np.all((confidences > 0.0) & (confidences <= 1.0))
 
 
 def test_training_peak_memory_is_within_two_and_a_half_logit_matrices():

@@ -163,6 +163,16 @@ def test_surface_rejects_an_empty_or_undefined_grid(tmp_path, capsys, flags, mes
     assert not out.exists()
 
 
+def test_train_rejects_a_tau_min_above_its_bound(tmp_path, capsys):
+    # tau_min = 1e300 once trained, exit 0, a model that never moved.
+    data = synth(tmp_path, "d.jsonl", n=100)
+    out = tmp_path / "params.json"
+    assert run(["train", "--data", str(data), "--out", str(out), "--epochs", "1",
+                "--tau-min", "1e300"]) == 2
+    assert "tau_min must be finite and > 0 and <= 1e+100" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tau_min", ["inf", "nan", "0"])
 def test_train_rejects_a_tau_min_that_is_not_finite_and_positive(tmp_path, capsys, tau_min):
     data = synth(tmp_path, "d.jsonl", n=100)

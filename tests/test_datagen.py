@@ -3,7 +3,7 @@ import pytest
 
 from calib_lab.calibrator import TrainConfig, calibrate_dataset, train
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
-from calib_lab.errors import DomainError, ShortfallError
+from calib_lab.errors import DomainError, InvalidInputError, ShortfallError
 from calib_lab.metrics import auroc
 from calib_lab.records import correctness_view, wrongness_ratios
 
@@ -70,14 +70,24 @@ def test_transform_count_is_data_driven():
 
 
 def test_config_validation():
+    # A config checks itself when it is made.
     with pytest.raises(DomainError):
-        SynthConfig(target_rho=0.0).validate()
+        SynthConfig(target_rho=0.0)
     with pytest.raises(DomainError):
-        SynthConfig(n_classes=1).validate()
+        SynthConfig(n_classes=1)
     with pytest.raises(DomainError):
-        SynthConfig(p_agree_wrong=1.2).validate()
+        SynthConfig(p_agree_wrong=1.2)
     with pytest.raises(DomainError):
-        SynthConfig(wrongness_skew=0.0).validate()
+        SynthConfig(wrongness_skew=0.0)
+    # The counts once raised a bare TypeError or ValueError, and an infinite
+    # concentration a RuntimeWarning in generate.
+    for bad in (dict(n=1.5), dict(n_classes=2.5), dict(seed=-1), dict(n=True),
+                dict(concentration=float("inf")), dict(noise=float("nan"))):
+        with pytest.raises(DomainError):
+            SynthConfig(**bad)
+    with pytest.raises(InvalidInputError):
+        SynthConfig(sharpness="5")
+    assert SynthConfig(noise=0.0, p_agree_wrong=0.0, p_agree_correct=1.0).noise == 0.0
 
 
 # --- wrongness-band crafting ---
@@ -122,6 +132,17 @@ def test_shortfall_error_names_band():
     assert err.band == (0.9, 1.0)
     assert err.requested == 10 ** 6
     assert "[0.9, 1.0)" in str(err)
+
+
+def test_crafting_refuses_counts_that_are_not_integers():
+    # Each once raised a bare TypeError.
+    d = generate(SynthConfig(n=200, seed=12))
+    with pytest.raises(DomainError):
+        craft_wrongness_set(d, 0.0, 1.0, 1.5)
+    with pytest.raises(DomainError):
+        craft_wrongness_set(d, 0.0, 1.0, 1, n_correct=1.5)
+    with pytest.raises(DomainError):
+        craft_wrongness_set(d, 0.5, 0.5, 1)
 
 
 def test_crafting_with_correct_padding():

@@ -282,6 +282,13 @@ def test_confidence_csv_writes_correctness_as_0_or_1(tmp_path):
                           np.array([True, False]), np.array([0.5, 2.0]), [0.9, 0.4])
     assert path.read_text().splitlines() == ["record_id,label,predicted,correct,tau,confidence",
                                              "3,1,1,1,0.5,0.9", "7,0,2,0,2.0,0.4"]
+    # A short column once cut every row after its end silently; strings and ragged
+    # columns raised numpy's bare ValueError.
+    other = tmp_path / "other.csv"
+    for taus in ([0.5], [[0.5], [2.0, 1.0]], ["a", "b"]):
+        with pytest.raises(InvalidInputError):
+            export_confidence_csv(other, [3, 7], [1, 0], [1, 2], [1, 0], taus, [0.9, 0.4])
+    assert not other.exists()
 
 
 @pytest.mark.parametrize("export, good", [

@@ -62,6 +62,9 @@ def test_ca_bounds_examples():
         ca_bounds(1.5, 10)
     with pytest.raises(DomainError):
         ca_bounds(0.5, 1)
+    # Bounds for 2.5 classes were once returned.
+    with pytest.raises(DomainError):
+        ca_bounds(0.5, 2.5)
 
 
 # --- decomposition ---
@@ -152,6 +155,12 @@ def test_stacked_batch_refuses_bad_labels(labels):
         LogitBatch.stack([Z, Z], [[2], labels])
     with pytest.raises(InvalidInputError, match="labels"):
         LogitBatch.stack([Z, Z], [[2]])
+
+
+def test_losses_refuse_ragged_logits():
+    # Once numpy's bare ValueError ("setting an array element with a sequence").
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        loss_values([[0., 1.], [0.]], [0, 0], 1.0, LossKind.CE)
 
 
 # --- temperature derivatives ---

@@ -222,6 +222,23 @@ def test_ece_rejects_bad_inputs():
         ece([0.5], [True], bins=1.5)
 
 
+# Each once escaped as numpy's bare ValueError ("setting an array element with a sequence").
+def test_auroc_refuses_ragged_confidences():
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        auroc([[0.5], [0.6, 0.7]], [True, False])
+
+
+def test_auroc_refuses_ragged_correctness_flags():
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        auroc([0.5, 0.6], [[1], [0, 1]])
+
+
+def test_report_refuses_ragged_confidences():
+    d = generate(SynthConfig(n=2, seed=3))
+    with pytest.raises(InvalidInputError, match="rectangular"):
+        report(d, [[0.5], [0.6, 0.7]])
+
+
 @pytest.mark.parametrize("metric", [ece, brier_top_label, ks_error, auroc])
 def test_metrics_refuse_correctness_flags_other_than_0_and_1(metric):
     # 0.3 once counted as correct by its truthiness.

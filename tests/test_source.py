@@ -97,6 +97,38 @@ def test_every_definition_is_used_or_exported():
     assert orphans(sources) == []
 
 
+# Raw input is read by the check_* helpers and read_array of tensor_math alone.
+CHECKS_MODULE = "tensor_math"
+
+
+def stray_checks(source: str) -> list[str]:
+    """Definitions of a ``check_*`` function, at any depth, and imports of
+    ``numbers``, the module the helpers read integers and reals with."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+            found.append(f"line {node.lineno}: defines {node.name}")
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) else [])
+        if "numbers" in names:
+            found.append(f"line {node.lineno}: imports numbers")
+    return found
+
+
+def test_scan_finds_a_stray_check():
+    source = ("import numbers\nfrom numbers import Integral\nimport numpy as np\n"
+              "def check_k(k):\n    def check_inner():\n        pass\n"
+              "def _checked(v):\n    return v\n")
+    assert stray_checks(source) == ["line 1: imports numbers", "line 2: imports numbers",
+                                    "line 4: defines check_k", "line 5: defines check_inner"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != CHECKS_MODULE],
+                         ids=lambda p: p.name)
+def test_raw_input_checks_live_in_tensor_math(path):
+    assert stray_checks(path.read_text()) == []
+
+
 # Row sums over classes and stable orders of a vector go through the tensor_math kernels.
 # top_k_indices is scanned too: it takes k argmax passes, whose first-maximum rule gives
 # ties in index order, so it needs no stable sort.
