@@ -15,7 +15,7 @@ from .datagen import craft_wrongness_set
 from .errors import DomainError
 from .losses import DiscrepancyMode, LossKind, loss_values
 from .records import Dataset, correctness_view
-from .tensor_math import read_array, row_softmax
+from .tensor_math import check_member, read_array, row_softmax
 
 # Four-way template with the ground truth on class 0 and the wrongly
 # predicted class fixed at logit 2.0.
@@ -69,6 +69,8 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
                  mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> SurfaceGrid:
     """Evaluate one loss on the wrongly predicted template sample
     [a, 2.0, 0.1, 0.05] (label 0) over a grid of a and tau."""
+    check_member(kind, LossKind, "loss kind")
+    check_member(mode, DiscrepancyMode, "discrepancy mode")
     a_values = default_a_grid() if a_values is None else read_array(a_values, "a values")
     tau_values = default_tau_grid() if tau_values is None else read_array(tau_values, "tau values")
     if a_values.size == 0 or tau_values.size == 0:
@@ -108,6 +110,7 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
     """
     if vary not in ("test", "train"):
         raise DomainError(f"vary must be 'test' or 'train', got {vary!r}")
+    bands = read_array(bands, "bands", shape=(None, 2))
     trained_on = [train_set] if vary == "test" else [
         craft_wrongness_set(train_set, low, high, train_wrong, n_correct=train_correct)
         for low, high in bands]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .losses import LossKind, loss_values
 from .records import Dataset
-from .tensor_math import check_real, row_sums, shift_rows, top_confidence
+from .tensor_math import check_real, row_blocks, row_sums, shift_rows, top_confidence
 
 TAU_GRID_LO = 0.05
 TAU_GRID_HI = 50.0
@@ -41,18 +41,25 @@ def fit_global_temperature(d: Dataset) -> GlobalTemp:
     # Finite even where a row spans more than the float64 range.
     shifted = shift_rows(d.logits)
     label_z = shifted[np.arange(d.n), d.labels]
-    buf = np.empty_like(shifted)
+    # Per-row weights are formed one row block at a time, into one buffer the
+    # size of the last block, the largest.
+    blocks = row_blocks(d.n)
+    buf = np.empty((blocks[-1].stop - blocks[-1].start, d.n_classes))
 
     def derivatives(beta: float) -> tuple[float, float]:
         # Slope E_p[z] - z_y and curvature Var_p(z) of the unfloored CE, summed over rows.
         # beta * z only overflows to -inf (weight exactly 0); where the weight is > 0,
         # |z| < 750 / beta. The slope sum overflows to +inf only if some z_y is near -1e308.
+        mean_z, var_z = np.empty(d.n), np.empty(d.n)
         with np.errstate(over="ignore"):
-            np.exp(np.multiply(shifted, beta, out=buf), out=buf)
-            total = row_sums(buf)
-            mean_z = row_sums(buf, shifted) / total
-            np.multiply(buf, shifted, out=buf)
-            var_z = row_sums(buf, shifted) / total - mean_z * mean_z
+            for rows in blocks:
+                S = shifted[rows]
+                E = buf[:len(S)]
+                np.exp(np.multiply(S, beta, out=E), out=E)
+                total = row_sums(E)
+                mean = np.divide(row_sums(E, S), total, out=mean_z[rows])
+                np.multiply(E, S, out=E)
+                np.subtract(row_sums(E, S) / total, mean * mean, out=var_z[rows])
             return float(np.sum(mean_z - label_z)), float(np.sum(var_z))
 
     lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
-from .tensor_math import (check_count, check_real, read_array, sigmoid, softplus, top_confidence,
-                          top_k_indices)
+from .tensor_math import (check_count, check_member, check_real, map_row_blocks, read_array,
+                          sigmoid, softplus, top_confidence, top_k_indices)
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -127,6 +127,8 @@ class TrainConfig:
     two_hidden: bool = False
 
     def __post_init__(self):
+        check_member(self.loss, LossKind, "loss")
+        check_member(self.mode, DiscrepancyMode, "discrepancy mode")
         for name, low in (("k", 1), ("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_count(getattr(self, name), name, low)
         check_real(self.learning_rate, "learning rate", 0.0)
@@ -164,8 +166,8 @@ def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
 
 
 def feature_matrix(d: Dataset, k: int) -> np.ndarray:
-    """Top-k transform features of every record, (n, M*k)."""
-    return _features(d.logits, d.transform_probs, k)
+    """Top-k transform features of every record, (n, M*k), one row block at a time."""
+    return map_row_blocks(lambda rows: _features(d.logits[rows], d.transform_probs[rows], k), d.n)
 
 
 def _forward_trace(p: CalibratorParams, F: np.ndarray):
@@ -194,10 +196,12 @@ def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
 
 
 def forward_batch(p: CalibratorParams, F) -> np.ndarray:
-    """Temperatures for a finite feature matrix, shape (n,). Features that
-    overflow the network raise DomainError."""
+    """Temperatures for a finite feature matrix, shape (n,), run one row block
+    at a time. Features that overflow the network raise DomainError."""
+    F = _read_features(p, F, finite=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        taus = _forward_trace(p, _read_features(p, F, finite=True))[2]
+        taus = map_row_blocks(lambda rows: _forward_trace(p, F[..., rows, :])[2],
+                              F.shape[-2], axis=-1)
     if not np.all(np.isfinite(taus)):
         raise DomainError("temperatures must be finite and > 0")
     return taus

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ShortfallError
 from .records import Dataset, correctness_view, wrongness_ratios
-from .tensor_math import check_count, check_real, predicted_labels
+from .tensor_math import check_count, check_real, predicted_labels, row_blocks
 
 
 @dataclass(frozen=True)
@@ -84,21 +84,31 @@ def generate(cfg: SynthConfig) -> Dataset:
         logits[off_rows, predicted[off]], logits[off_rows, top[off]])
 
     agree_p = np.where(correct, cfg.p_agree_correct, cfg.p_agree_wrong)
-    transform_probs, alpha = np.empty((n, m, c)), np.ones((n, c))
+    # The Dirichlet draws run one row block at a time, in row order, so the
+    # generator is consumed as by one draw over all rows. The last block is the
+    # largest. The output is allocated first: the order of large allocations
+    # sets the heap layout, and with it the peak RSS of later calls.
+    blocks = row_blocks(n)
+    widest = blocks[-1].stop - blocks[-1].start
+    transform_probs, block_alpha = np.empty((n, m, c)), np.ones((widest, c))
     for i in range(m):
         agrees = rng.random(n) < agree_p
         channel_class = predicted.copy()
         channel_class[~agrees] = _random_other(rng, predicted[~agrees], c)
-        alpha[rows, channel_class] += cfg.concentration
-        probs = rng.standard_gamma(alpha)
-        alpha[rows, channel_class] = 1.0
-        probs /= probs.sum(axis=1, keepdims=True)
-        top_p = np.argmax(probs, axis=1)
-        off = top_p != channel_class
-        off_rows = rows[off]
-        probs[off_rows, top_p[off]], probs[off_rows, channel_class[off]] = (
-            probs[off_rows, channel_class[off]], probs[off_rows, top_p[off]])
-        transform_probs[:, i, :] = probs
+        for block in blocks:
+            peak = channel_class[block]
+            at = rows[:peak.size]
+            alpha = block_alpha[:peak.size]
+            alpha[at, peak] += cfg.concentration
+            probs = rng.standard_gamma(alpha)
+            alpha[at, peak] = 1.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            top_p = np.argmax(probs, axis=1)
+            off = top_p != peak
+            off_rows = at[off]
+            probs[off_rows, top_p[off]], probs[off_rows, peak[off]] = (
+                probs[off_rows, peak[off]], probs[off_rows, top_p[off]])
+            transform_probs[block, i, :] = probs
 
     return Dataset(logits, labels, transform_probs, _owned=True)
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .tensor_math import (PROB_FLOOR, check_count, check_integers, check_logits, check_pair,
-                          check_real, exp_rows, predicted_labels, row_sums, shift_rows,
-                          stable_order, tau_column)
+from .tensor_math import (PROB_FLOOR, check_count, check_integers, check_logits, check_member,
+                          check_pair, check_real, exp_rows, predicted_labels, map_row_blocks,
+                          row_sums, shift_rows, stable_order, tau_column)
 
 
 class DiscrepancyMode(enum.Enum):
@@ -87,6 +87,7 @@ def _discrepancy(residual: np.ndarray, mode: DiscrepancyMode) -> np.ndarray:
 
 def ca_loss_batch(confidences, correct, mode: DiscrepancyMode = DiscrepancyMode.L1) -> float:
     """Mean per-sample correctness-aware loss over a batch."""
+    check_member(mode, DiscrepancyMode, "discrepancy mode")
     confidences, correct = check_pair(confidences, correct)
     return float(np.mean(_discrepancy(confidences - correct.astype(np.float64), mode)))
 
@@ -220,17 +221,14 @@ def _batch(Z, labels) -> LogitBatch:
     return LogitBatch.prepare(Z, labels)
 
 
-def loss_values(Z, labels, taus, kind: LossKind,
-                mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
-    """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
-    ``taus`` is a scalar or one temperature per row. ``Z`` is a logit
-    matrix, or a :class:`LogitBatch` with ``labels=None``."""
-    b = _batch(Z, labels)
+def _batch_losses(b: LogitBatch, taus, kind: LossKind, mode: DiscrepancyMode,
+                  own: bool) -> np.ndarray:
+    """Per-row losses of a batch at temperatures from ``tau_column``; if the
+    batch is ``own``ed by the caller, E overwrites its S."""
     if kind is LossKind.CA:
         # Correctness of the tau-invariant prediction, read before S may be overwritten.
         correct = b.predicted == b.labels
-    # A batch prepared here belongs to this call, so E overwrites its S.
-    E, total = exp_rows(b.S, tau_column(taus, b.S.shape[:-1]), out=None if b is Z else b.S)
+    E, total = exp_rows(b.S, taus, out=b.S if own else None)
     if kind is LossKind.CE:
         return -np.log(np.maximum(_at_labels(E, b.labels) / total, PROB_FLOOR))
     if kind is LossKind.MSE:
@@ -238,6 +236,26 @@ def loss_values(Z, labels, taus, kind: LossKind,
         return mse_rows(E, b.labels)
     # CA: the top score 1 / sum E against correctness.
     return _discrepancy(1.0 / total - correct, mode)
+
+
+def loss_values(Z, labels, taus, kind: LossKind,
+                mode: DiscrepancyMode = DiscrepancyMode.L1) -> np.ndarray:
+    """Per-sample loss of softmax(z_i / tau_i) for each row, as configured;
+    ``taus`` is a scalar or one temperature per row. ``Z`` is a logit
+    matrix, or a :class:`LogitBatch` with ``labels=None``. A logit matrix is
+    checked once and then prepared and scored one row block at a time."""
+    check_member(kind, LossKind, "loss kind")
+    check_member(mode, DiscrepancyMode, "discrepancy mode")
+    if isinstance(Z, LogitBatch):
+        b = _batch(Z, labels)
+        return _batch_losses(b, tau_column(taus, b.S.shape[:-1]), kind, mode, own=False)
+    Z = check_logits(Z)
+    labels = _checked_labels(labels, Z.shape)
+    taus = tau_column(taus, Z.shape[:1])
+    # Each block's batch is made here, so E may overwrite its S.
+    return map_row_blocks(lambda rows: _batch_losses(
+        LogitBatch(labels[rows], shift_rows(Z[rows])), taus if taus.ndim == 0 else taus[rows],
+        kind, mode, own=True), Z.shape[0])
 
 
 def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
@@ -252,6 +270,8 @@ def dloss_dtau_batch(Z, labels, taus, kind: LossKind,
     floored region. ``Z`` is a logit matrix, or a :class:`LogitBatch` with
     ``labels=None``.
     """
+    check_member(kind, LossKind, "loss kind")
+    check_member(mode, DiscrepancyMode, "discrepancy mode")
     b = _batch(Z, labels)
     S, labels = b.S, b.labels
     E, total = exp_rows(S, tau_column(taus, S.shape[:-1]))

@@ -13,10 +13,15 @@ definition of the predicted class (argmax of the logits, which no
 temperature can move). Probabilities destined for a logarithm are
 clamped to ``PROB_FLOOR`` by the caller. Raw input is read and refused
 here alone, by ``read_array`` and the ``check_*`` helpers.
+
+The row-wise kernels on the scoring and generation path take their rows
+in the fixed blocks of ``row_blocks``, so their temporaries are
+block-sized; every row gets the same bits whatever block it sits in.
 """
 
 from __future__ import annotations
 
+import enum
 import numbers
 
 import numpy as np
@@ -25,6 +30,36 @@ from .errors import DomainError, InvalidInputError
 
 # Floor applied to probabilities before any logarithm downstream.
 PROB_FLOOR = 1e-12
+# Rows per block of the row-wise kernels; see row_blocks.
+ROW_BLOCK = 8192
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of ``ROW_BLOCK`` rows covering rows 0..n-1 in order. A tail
+    shorter than ``ROW_BLOCK`` joins the block before it, since the forward's
+    matmul rounds a block of a few rows differently from a long one: the last
+    block is the largest, with up to 2 * ``ROW_BLOCK`` - 1 rows, and fewer
+    than 2 * ``ROW_BLOCK`` rows make one block."""
+    bounds = [i * ROW_BLOCK for i in range(max(n // ROW_BLOCK, 1))] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def map_row_blocks(fn, n: int, axis: int = 0) -> np.ndarray:
+    """``fn(rows)`` for each slice of :func:`row_blocks`, joined along ``axis``,
+    the row axis of its outputs. A single block's output is returned as it is,
+    so a one-block call allocates nothing beyond what ``fn`` does."""
+    blocks = row_blocks(n)
+    if len(blocks) == 1:
+        return fn(blocks[0])
+    out = None
+    for rows in blocks:
+        part = fn(rows)
+        if out is None:
+            shape = list(part.shape)
+            shape[axis] = n
+            out = np.empty(shape, part.dtype)
+        np.moveaxis(out, axis, 0)[rows] = np.moveaxis(part, axis, 0)
+    return out
 
 
 def read_array(values, name: str, kinds: str = "iuf", *, shape: tuple | None = None,
@@ -32,15 +67,17 @@ def read_array(values, name: str, kinds: str = "iuf", *, shape: tuple | None = N
     """``values`` as an array whose dtype kind (numpy's code) is one of ``kinds``:
     integers and floats by default, returned as float64. Ragged nesting, any
     other kind (strings, bools, objects, integers beyond 64 bits), a shape
-    other than ``shape`` and, if ``finite``, a NaN or an infinity raise
-    InvalidInputError; an empty array has no kind."""
+    other than ``shape`` (where a None entry takes any length) and, if
+    ``finite``, a NaN or an infinity raise InvalidInputError; an empty array
+    has no kind."""
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise InvalidInputError(f"{name} must be a rectangular array") from exc
     if arr.size and arr.dtype.kind not in kinds:
         raise InvalidInputError(f"{name} cannot hold {arr.dtype} values")
-    if shape is not None and arr.shape != shape:
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want is not None and want != have for want, have in zip(shape, arr.shape))):
         raise InvalidInputError(f"{name} has shape {arr.shape}, expected {shape}")
     if finite and not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} holds non-finite entries")
@@ -76,6 +113,13 @@ def check_real(value, name: str, low: float, high: float = np.inf, *, closed: bo
         bound = f"{'>=' if closed else '>'} {low:g}" + (f" and <= {high:g}" if high < np.inf else "")
         raise error(f"{name} must be finite and {bound}, got {value!r}")
     return v
+
+
+def check_member(value, kind: type[enum.Enum], name: str) -> None:
+    """Raise InvalidInputError unless ``value`` is a member of the enum ``kind``;
+    its string value is refused too."""
+    if not isinstance(value, kind):
+        raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +196,10 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     return order
 
 
-def _checked_shift(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:
-    """Checked logits minus their row max, and the checked temperatures."""
+def _checked(Z, taus) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked logits and the checked temperatures."""
     Z = check_logits(Z)
-    if taus is not None:
-        taus = tau_column(taus, Z.shape[:1])
-    return shift_rows(Z), taus
+    return Z, None if taus is None else tau_column(taus, Z.shape[:1])
 
 
 def row_softmax(Z, taus=None) -> np.ndarray:
@@ -167,7 +209,8 @@ def row_softmax(Z, taus=None) -> np.ndarray:
     The row max is subtracted before dividing, so large but finite
     logits cannot overflow at any temperature.
     """
-    S, taus = _checked_shift(Z, taus)
+    Z, taus = _checked(Z, taus)
+    S = shift_rows(Z)
     E, total = exp_rows(S, taus, out=S)
     E /= total[:, None]
     return E
@@ -182,9 +225,14 @@ def predicted_labels(Z) -> np.ndarray:
 def top_confidence(Z, taus=None) -> np.ndarray:
     """Softmax score of each row's predicted class at the given temperature(s),
     1 / sum_c exp(S_c / tau) for S = Z - row max: the predicted class has S = 0
-    and exp(0) = 1, so this is ``row_softmax(Z, taus)`` at the argmax bit for bit."""
-    S, taus = _checked_shift(Z, taus)
-    return 1.0 / exp_rows(S, taus, out=S)[1]
+    and exp(0) = 1, so this is ``row_softmax(Z, taus)`` at the argmax bit for bit.
+    Computed per row block: the shifted rows of one block are alive at a time."""
+    Z, taus = _checked(Z, taus)
+
+    def block(rows):
+        S = shift_rows(Z[rows])
+        return 1.0 / exp_rows(S, taus if taus is None or taus.ndim == 0 else taus[rows], out=S)[1]
+    return map_row_blocks(block, Z.shape[0])
 
 
 def top_k_indices(v, k: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from calib_lab.analysis import (DEFAULT_BANDS, SURFACE_TEMPLATE, BandRow, defaul
 from calib_lab import analysis
 from calib_lab.calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
-from calib_lab.errors import DomainError, ShortfallError, UndefinedMetricError
+from calib_lab.errors import DomainError, InvalidInputError, ShortfallError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
 from calib_lab.metrics import DEFAULT_BINS, auroc, ece
 from calib_lab.records import correctness_view
@@ -173,6 +173,22 @@ def test_wrongness_experiment_propagates_shortfall(small_pools):
     with pytest.raises(ShortfallError):
         wrongness_experiment(train_set, test_set, TrainConfig(epochs=1, seed=0),
                              bands=((0.95, 1.0),), count=10 ** 6)
+
+
+@pytest.mark.parametrize("bands", [((0.0, 1.0, 2.0),), (0.5,), ((0.0, 1.0), (0.5,)), ()])
+def test_wrongness_experiment_refuses_bands_that_are_not_pairs(small_pools, bands):
+    # A triple once ran silently on its first two entries, and a bare number
+    # raised a bare TypeError.
+    train_set, test_set = small_pools
+    with pytest.raises(InvalidInputError, match="bands"):
+        wrongness_experiment(train_set, test_set, TrainConfig(epochs=1, seed=0), bands=bands)
+
+
+def test_surface_refuses_a_kind_or_mode_that_is_not_the_enum():
+    with pytest.raises(InvalidInputError, match="LossKind"):
+        loss_surface("ce")
+    with pytest.raises(InvalidInputError, match="DiscrepancyMode"):
+        loss_surface(LossKind.CA, mode="l1")
 
 
 def test_default_bands_cover_unit_interval():

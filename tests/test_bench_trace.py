@@ -13,6 +13,7 @@ import pytest
 import calib_lab
 from calib_lab import calibrator, metrics
 from calib_lab.datagen import SynthConfig, generate
+from calib_lab.tensor_math import ROW_BLOCK
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -55,6 +56,26 @@ def test_traced_scoring_fires_every_metric_span(bench_modules):
     stats = tracer.pass_stats(None)
     for name in workloads._METRIC_SPANS + ("records.correctness_view", "metrics.report"):
         assert stats.get(name, {}).get("calls", 0) > 0, f"{name} never fired"
+
+
+def test_traced_score_large_pass_fires_every_expected_span(bench_modules):
+    # Two full row blocks and one more row, so every blocked kernel loops; the
+    # spans must still fire once per call, not once per block or never.
+    tracing, workloads = bench_modules
+    d = generate(SynthConfig(n=2 * ROW_BLOCK + 1, n_classes=10, n_transforms=3, seed=0))
+    params = calibrator.init_params(10, 3, 4, seed=0)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        _, confidences = calib_lab.calibrate_dataset(params, d)
+        ts = calib_lab.apply_global(d, calib_lab.fit_global_temperature(d))
+        for scores in (None, ts, confidences):
+            calib_lab.report(d, scores)
+    stats = tracer.pass_stats(None)
+    for name in workloads.ScoreLarge.expected_spans:
+        assert stats.get(name, {}).get("calls", 0) > 0, f"{name} never fired"
+    assert stats["calibrator.feature_matrix"]["calls"] == 1
+    assert stats["calibrator.forward_batch"]["calls"] == 1
+    assert stats["baselines.nll_objective"]["calls"] == 2
 
 
 def test_workloads_use_only_existing_api():

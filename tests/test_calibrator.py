@@ -443,6 +443,11 @@ def test_train_config_validation():
             TrainConfig(**bad)
         with pytest.raises(DomainError):
             replace(TrainConfig(), **bad)
+    # A string in place of the enum once made a config silently.
+    for bad in (dict(loss="ce"), dict(mode="l1"), dict(loss="ce", mode="l1"),
+                dict(loss=DiscrepancyMode.L1)):
+        with pytest.raises(InvalidInputError):
+            TrainConfig(**bad)
     with pytest.raises(DomainError, match="tau_min must be finite and > 0 and <= 1e"):
         TrainConfig(tau_min=TAU_MIN_MAX * 1.0001)
     with pytest.raises(InvalidInputError):

@@ -41,6 +41,8 @@ REALS = FLOATS | st.integers(-3, 10) | ODD
 COUNTS = st.integers(-2, 6) | st.sampled_from([2 ** 63 - 1, 2 ** 63, 10 ** 400]) | ODD
 SMALL_COUNTS = st.integers(-2, 6) | ODD | FLOATS
 SEEDS = st.integers(0, 2 ** 63 - 1)
+# A loss kind or discrepancy mode given as anything but its enum member.
+ENUM_STAND_INS = st.sampled_from(["ca", "ce", "l1", "sq", LossKind.CA, DiscrepancyMode.L1]) | ODD
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -191,7 +193,7 @@ def test_temperatures(tau):
 @given(calls({"a_values": arrays(st.integers(1, 4), between(-MAX, 1.99)),
               "tau_values": arrays(st.integers(1, 4), between(TINY, MAX))},
              {"a_values": raw_arrays(3), "tau_values": raw_arrays(3)}),
-       st.sampled_from(LossKind), st.sampled_from(DiscrepancyMode))
+       st.sampled_from(LossKind) | ENUM_STAND_INS, st.sampled_from(DiscrepancyMode) | ENUM_STAND_INS)
 def test_loss_surface(kw, kind, mode):
     grid = outcome(cl.loss_surface, kind, mode=mode, **kw)
     if grid is not None:
@@ -232,9 +234,10 @@ def test_craft_wrongness_set(kw):
 @given(calls({"k": st.integers(1, C), "epochs": st.integers(1, 2), "seed": SEEDS,
               "batch_size": st.integers(1, 2 ** 63 - 1), "learning_rate": between(TINY, MAX),
               "tau_min": between(TINY, 1e100), "loss": st.sampled_from(LossKind),
-              "two_hidden": st.booleans()},
+              "mode": st.sampled_from(DiscrepancyMode), "two_hidden": st.booleans()},
              {"k": SMALL_COUNTS, "epochs": SMALL_COUNTS, "seed": COUNTS, "batch_size": COUNTS,
-              "learning_rate": REALS, "tau_min": REALS}))
+              "learning_rate": REALS, "tau_min": REALS, "loss": ENUM_STAND_INS,
+              "mode": ENUM_STAND_INS}))
 def test_train_config_and_training(kw):
     config = outcome(cl.TrainConfig, **kw)
     if config is None:
@@ -257,7 +260,8 @@ def test_k_sweep(k):
 @settings(SETTINGS, max_examples=30)
 @given(calls({"count": st.integers(1, 20), "bands": st.just(((0.0, 1.0),))},
              {"count": COUNTS, "bands": st.sampled_from([((0.5, 0.2),), ((0.0, float("nan")),),
-                                                         (("a", 1.0),)])}))
+                                                         (("a", 1.0),), ((0.0, 1.0, 2.0),),
+                                                         (0.5,), ()]) | ODD}))
 def test_wrongness_experiment(kw):
     rows = outcome(cl.wrongness_experiment, DATA, DATA, cl.TrainConfig(epochs=1), **kw)
     if rows is not None:

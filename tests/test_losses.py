@@ -216,6 +216,19 @@ def test_ca_derivative_negative_for_wrong_prediction():
         checked += 1
 
 
+def test_a_loss_kind_or_mode_that_is_not_the_enum_is_refused():
+    # "l1" was once read as the squared loss (0.25), and "ce" fell through to
+    # the CA branch and raised a bare UnboundLocalError.
+    with pytest.raises(InvalidInputError, match="DiscrepancyMode"):
+        ca_loss_batch([0.5], [1], "l1")
+    for fn in (loss_values, dloss_dtau_batch):
+        with pytest.raises(InvalidInputError, match="LossKind"):
+            fn([[0.0, 1.0, 2.0]], [0], 1.0, "ce")
+        with pytest.raises(InvalidInputError, match="DiscrepancyMode"):
+            fn([[0.0, 1.0, 2.0]], [0], 1.0, LossKind.CA, "sq")
+    assert ca_loss_batch([0.5], [1], L1) == 0.5
+
+
 def test_dloss_dtau_rejects_nonpositive_tau():
     with pytest.raises(DomainError):
         dloss_dtau_batch([[1.0, 2.0]], [0], [0.0], LossKind.CE)
