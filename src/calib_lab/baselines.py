@@ -41,10 +41,9 @@ def fit_global_temperature(d: Dataset) -> GlobalTemp:
     # Finite even where a row spans more than the float64 range.
     shifted = shift_rows(d.logits)
     label_z = shifted[np.arange(d.n), d.labels]
-    # Per-row weights are formed one row block at a time, into one buffer the
-    # size of the last block, the largest.
+    # Per-row weights are formed one row block at a time, into one block-sized buffer.
     blocks = row_blocks(d.n)
-    buf = np.empty((blocks[-1].stop - blocks[-1].start, d.n_classes))
+    buf = np.empty((blocks[0].stop, d.n_classes))
 
     def derivatives(beta: float) -> tuple[float, float]:
         # Slope E_p[z] - z_y and curvature Var_p(z) of the unfloored CE, summed over rows.

@@ -5,8 +5,10 @@ gathered at the indices of the k largest original logits and
 concatenated (channel-major) into an M*k feature vector. A small fully
 connected network, a list of (W, b) layers (input -> 5 ReLU -> 1 by
 default, an extra 5-node hidden layer behind a config switch), maps the
-features to a positive temperature via softplus(o) + tau_min. The temperature rescales the
-original logits only; transform outputs never touch the logits.
+features to a positive temperature via softplus(o) + tau_min, which
+rescales the original logits only; transform outputs never touch the
+logits. A record's temperature and confidence are functions of that
+record alone, whatever batch it is scored in.
 
 Training is plain minibatch gradient descent with Adam on one of the
 losses in :mod:`calib_lab.losses`, single-threaded and bit-reproducible
@@ -19,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tensor_math
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
@@ -139,7 +142,7 @@ class TrainConfig:
 class TrainingTrace:
     """Full-training-set loss per epoch; index 0 is the initial loss. A
     training run without the trace keeps only the initial and the final
-    loss, so ``initial`` and ``final`` mean the same either way."""
+    loss, so ``losses[0]`` and ``losses[-1]`` mean the same either way."""
 
     losses: np.ndarray
 
@@ -147,14 +150,6 @@ class TrainingTrace:
         losses = np.array(self.losses, dtype=np.float64)
         losses.setflags(write=False)
         object.__setattr__(self, "losses", losses)
-
-    @property
-    def initial(self) -> float:
-        return float(self.losses[0])
-
-    @property
-    def final(self) -> float:
-        return float(self.losses[-1])
 
 
 def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
@@ -196,12 +191,21 @@ def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
 
 
 def forward_batch(p: CalibratorParams, F) -> np.ndarray:
-    """Temperatures for a finite feature matrix, shape (n,), run one row block
-    at a time. Features that overflow the network raise DomainError."""
+    """Temperatures for a finite feature matrix, shape (n,), one row block at a
+    time. BLAS rounds a matmul of a few rows differently from a long one, so a
+    short block is padded with zero rows to ``ROW_BLOCK`` and every row goes
+    through a call of one shape. Only the block's own rows are kept and checked:
+    features that overflow the network raise DomainError."""
     F = _read_features(p, F, finite=True)
+
+    def block(rows):
+        part = F[..., rows, :]
+        n, width = part.shape[-2], tensor_math.ROW_BLOCK
+        if n < width:
+            part = np.pad(part, [(0, 0)] * (part.ndim - 2) + [(0, width - n), (0, 0)])
+        return _forward_trace(p, part)[2][..., :n]
     with np.errstate(over="ignore", invalid="ignore"):
-        taus = map_row_blocks(lambda rows: _forward_trace(p, F[..., rows, :])[2],
-                              F.shape[-2], axis=-1)
+        taus = map_row_blocks(block, F.shape[-2], axis=-1)
     if not np.all(np.isfinite(taus)):
         raise DomainError("temperatures must be finite and > 0")
     return taus

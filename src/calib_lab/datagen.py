@@ -85,12 +85,11 @@ def generate(cfg: SynthConfig) -> Dataset:
 
     agree_p = np.where(correct, cfg.p_agree_correct, cfg.p_agree_wrong)
     # The Dirichlet draws run one row block at a time, in row order, so the
-    # generator is consumed as by one draw over all rows. The last block is the
-    # largest. The output is allocated first: the order of large allocations
-    # sets the heap layout, and with it the peak RSS of later calls.
+    # generator is consumed as by one draw over all rows. The output is allocated
+    # first: the order of large allocations sets the heap layout, and with it
+    # the peak RSS of later calls.
     blocks = row_blocks(n)
-    widest = blocks[-1].stop - blocks[-1].start
-    transform_probs, block_alpha = np.empty((n, m, c)), np.ones((widest, c))
+    transform_probs, block_alpha = np.empty((n, m, c)), np.ones((blocks[0].stop, c))
     for i in range(m):
         agrees = rng.random(n) < agree_p
         channel_class = predicted.copy()

@@ -65,20 +65,14 @@ class Decomposition:
 
     ``reconstruction`` recombines the terms as
     (1-rho) * e_diff + (2*rho - 1) * e_plus + (1-rho); it equals the
-    batch loss exactly whenever rho >= 0.5 (``identity_holds``),
-    regardless of which correct samples were paired. Below 0.5 the
-    numbers are diagnostic only.
+    batch loss exactly whenever rho >= 0.5, regardless of which correct
+    samples were paired. Below 0.5 the numbers are diagnostic only.
     """
 
     e_diff: float
     e_plus: float
     rho: float
     reconstruction: float
-    pairing: str
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.rho >= 0.5
 
 
 def _discrepancy(residual: np.ndarray, mode: DiscrepancyMode) -> np.ndarray:
@@ -132,7 +126,7 @@ def decompose(confidences, correct, pairing: str = "lowest",
     e_plus = float(np.mean(1.0 - unpaired)) if unpaired.size > 0 else 0.0
     reconstruction = (1.0 - rho) * e_diff + (2.0 * rho - 1.0) * e_plus + (1.0 - rho)
     return Decomposition(e_diff=e_diff, e_plus=e_plus, rho=rho,
-                         reconstruction=float(reconstruction), pairing=pairing)
+                         reconstruction=float(reconstruction))
 
 
 def _at_labels(A: np.ndarray, labels: np.ndarray) -> np.ndarray:

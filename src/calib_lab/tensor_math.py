@@ -15,7 +15,7 @@ clamped to ``PROB_FLOOR`` by the caller. Raw input is read and refused
 here alone, by ``read_array`` and the ``check_*`` helpers.
 
 The row-wise kernels on the scoring and generation path take their rows
-in the fixed blocks of ``row_blocks``, so their temporaries are
+in the plain blocks of ``row_blocks``, so their temporaries are
 block-sized; every row gets the same bits whatever block it sits in.
 """
 
@@ -35,13 +35,9 @@ ROW_BLOCK = 8192
 
 
 def row_blocks(n: int) -> list[slice]:
-    """Slices of ``ROW_BLOCK`` rows covering rows 0..n-1 in order. A tail
-    shorter than ``ROW_BLOCK`` joins the block before it, since the forward's
-    matmul rounds a block of a few rows differently from a long one: the last
-    block is the largest, with up to 2 * ``ROW_BLOCK`` - 1 rows, and fewer
-    than 2 * ``ROW_BLOCK`` rows make one block."""
-    bounds = [i * ROW_BLOCK for i in range(max(n // ROW_BLOCK, 1))] + [n]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    """Slices of ``ROW_BLOCK`` rows covering rows 0..n-1 in order; the last may
+    be shorter, and no rows make one empty slice."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, max(n, 1), ROW_BLOCK)]
 
 
 def map_row_blocks(fn, n: int, axis: int = 0) -> np.ndarray:

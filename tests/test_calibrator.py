@@ -333,10 +333,10 @@ def test_training_loss_decreases_on_default_fixture():
     d = generate(SynthConfig())  # defaults, seed 0
     params, trace = train(d, TrainConfig(epochs=20, seed=0))
     assert np.all(np.isfinite(trace.losses))
-    assert trace.final < trace.initial
+    assert trace.losses[-1] < trace.losses[0]
     # regression fixture, frozen from the first recorded run
-    assert trace.initial == pytest.approx(0.24813818144146266, rel=1e-9)
-    assert trace.final == pytest.approx(0.17078010143576824, rel=1e-9)
+    assert trace.losses[0] == pytest.approx(0.24813818144146266, rel=1e-9)
+    assert trace.losses[-1] == pytest.approx(0.17078010143576824, rel=1e-9)
 
 
 def test_training_is_bit_reproducible():

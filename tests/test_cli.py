@@ -118,6 +118,21 @@ def test_train_two_hidden_then_apply_matches_the_library(tmp_path):
     assert [r["confidence"] for r in rows] == [repr(float(c)) for c in conf]
 
 
+def test_apply_scores_a_record_alone_as_in_its_file(tmp_path):
+    train_data, data = synth(tmp_path, "t.jsonl", n=300), synth(tmp_path, "d.jsonl", n=40, seed=1)
+    params = tmp_path / "p.json"
+    assert run(["train", "--data", str(train_data), "--out", str(params), "--epochs", "3"]) == 0
+    assert run(["apply", "--data", str(data), "--params", str(params),
+                "--out", str(tmp_path / "all.csv")]) == 0
+    for i, (line, row) in enumerate(zip(data.read_text().splitlines(keepends=True),
+                                        read_csv(tmp_path / "all.csv"))):
+        one, out = tmp_path / f"one{i}.jsonl", tmp_path / f"one{i}.csv"
+        one.write_text(line)
+        assert run(["apply", "--data", str(one), "--params", str(params), "--out", str(out)]) == 0
+        (alone,) = read_csv(out)
+        assert (alone["tau"], alone["confidence"]) == (row["tau"], row["confidence"])
+
+
 def test_python_m_calib_lab_runs_the_cli(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

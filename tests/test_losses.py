@@ -84,7 +84,7 @@ def test_decompose_hand_case():
     assert dec.e_diff == pytest.approx(-0.2, abs=1e-15)
     assert dec.e_plus == pytest.approx(0.1, abs=1e-15)
     assert dec.reconstruction == pytest.approx(0.3, abs=1e-15)
-    assert dec.identity_holds
+    assert dec.rho >= 0.5
     direct = ca_loss_batch([0.9, 0.8, 0.6], [True, True, False], L1)
     assert dec.reconstruction == pytest.approx(direct, abs=1e-12)
 
@@ -112,7 +112,7 @@ def test_decompose_identity_random_batches_both_pairings():
 
 def test_decompose_below_half_accuracy_is_diagnostic_only():
     dec = decompose([0.6, 0.7, 0.8], [True, False, False])
-    assert not dec.identity_holds
+    assert dec.rho < 0.5
 
 
 # --- CE / MSE ---

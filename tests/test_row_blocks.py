@@ -1,17 +1,21 @@
-"""Scoring and generation run in fixed row blocks: the blocks are invisible in
-the bits of every output, and the temporaries they leave are block-sized."""
+"""Scoring and generation run in plain row blocks: the blocks are invisible in
+the bits of every output, a record scores the same in any batch, and the
+temporaries they leave are block-sized."""
 
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_lab import tensor_math
 from calib_lab.baselines import GlobalTemp, apply_global, fit_global_temperature, nll_objective
 from calib_lab.calibrator import calibrate_dataset, feature_matrix, forward_batch, init_params
 from calib_lab.datagen import SynthConfig, _random_other, generate
 from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
+from calib_lab.records import Dataset
 from calib_lab.tensor_math import (ROW_BLOCK, map_row_blocks, predicted_labels, row_blocks,
                                    top_confidence)
 
@@ -23,14 +27,13 @@ SIZES = [1, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1]
 
 @pytest.mark.parametrize("n", [0, 1, 7, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1,
                                5 * B + 3, 300_001])
-def test_row_blocks_cover_the_rows_in_order_with_the_tail_joined(n):
+def test_row_blocks_are_plain_blocks_covering_the_rows_in_order(n):
     blocks = row_blocks(n)
     assert blocks[0].start == 0 and blocks[-1].stop == n
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     assert all(rows.stop - rows.start == B for rows in blocks[:-1])
-    last = blocks[-1].stop - blocks[-1].start
-    assert last <= 2 * B - 1 and (last >= B or len(blocks) == 1)
-    assert len(blocks) == max(n // B, 1)
+    assert 0 < blocks[-1].stop - blocks[-1].start <= B or n == 0
+    assert len(blocks) == max(-(-n // B), 1)
 
 
 def test_one_block_is_returned_as_it_is():
@@ -55,10 +58,11 @@ def full():
 
 @pytest.fixture
 def whole(monkeypatch):
-    """Calls ``fn`` with every row in one block."""
+    """Calls ``fn`` with every row in one block: the forward pads a short
+    block to ``ROW_BLOCK`` rows, so the block is 4 * B, not unbounded."""
     def run(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(tensor_math, "ROW_BLOCK", 10 ** 9)
+            m.setattr(tensor_math, "ROW_BLOCK", 4 * B)
             return fn(*args)
     return run
 
@@ -111,6 +115,46 @@ def test_global_temperature_fit_is_blocked_invisibly(full, whole, n):
     assert fit_global_temperature(d).tau.hex() == whole(fit_global_temperature, d).tau.hex()
 
 
+# --- a record's temperature and confidence are functions of that record alone ---
+
+MAX_OFFSET = 64
+
+
+@pytest.fixture(scope="module")
+def networks():
+    """(pool, network, the pool's temperatures and confidences scored as one
+    batch) for one and two hidden layers, at C = 10, k = 4 and at C = 100, k = 16."""
+    out = []
+    for c, m, k in ((10, 3, 4), (100, 2, 16)):
+        pool = generate(SynthConfig(n=2 * B + 1 + MAX_OFFSET, n_classes=c, n_transforms=m, seed=c))
+        for two_hidden in (False, True):
+            p = randomised(init_params(c, m, k, seed=k, two_hidden=two_hidden), k)
+            out.append((pool, p, *calibrate_dataset(p, pool)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_record_scores_the_same_alone_in_chunks_and_from_an_offset_view(networks, data):
+    pool, p, taus, confidences = data.draw(st.sampled_from(networks))
+    n = data.draw(st.sampled_from([1, 2, 7, 255, 256, B - 1, B, B + 1, 2 * B + 1]))
+    start = data.draw(st.integers(0, MAX_OFFSET))
+
+    def scores_as_in_the_pool(d, lo):
+        for got, want in zip(calibrate_dataset(p, d), (taus, confidences)):
+            assert same_bits(got, want[lo:lo + d.n])
+
+    # The records as a view at a row offset into the pool's arrays, kept as it is.
+    rows = slice(start, start + n)
+    scores_as_in_the_pool(Dataset(pool.logits[rows], pool.labels[rows],
+                                  pool.transform_probs[rows], _owned=True), start)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=4)))) if n > 1 else []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        scores_as_in_the_pool(pool.subset(np.arange(start + lo, start + hi)), start + lo)
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        scores_as_in_the_pool(pool.subset([start + i]), start + i)
+
+
 def unblocked_generate(cfg: SynthConfig):
     """The generator as it was before it drew its Dirichlet vectors per row
     block: one draw over all rows per channel. Logits, labels, transforms."""
@@ -160,10 +204,10 @@ def test_generate_draws_the_bytes_of_one_unblocked_draw(cfg):
 
 
 # --- memory: tracemalloc peaks as multiples of the logit matrix ---
-# At 100k x C=10 x M=3 (eleven full blocks and a joined tail), measured before
-# the row blocks -> with them: generate 7.84 -> 5.77 (its output alone is about
-# 4.25), calibrate_dataset 1.90 -> 1.49, fit_global_temperature 3.40 -> 1.51,
-# apply_global 1.20 -> 0.23, nll_objective 1.30 -> 0.24. Each bound keeps a
+# At 100k x C=10 x M=3 (twelve full blocks and a short tail), measured before
+# the row blocks -> with them: generate 7.84 -> 5.66 (its output alone is about
+# 4.25), calibrate_dataset 1.90 -> 1.47, fit_global_temperature 3.40 -> 1.48,
+# apply_global 1.20 -> 0.21, nll_objective 1.30 -> 0.22. Each bound keeps a
 # margin of at least 0.15 (1.2 MB) over the blocked peak and lies below the
 # unblocked one.
 

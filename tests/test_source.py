@@ -97,6 +97,54 @@ def test_every_definition_is_used_or_exported():
     assert orphans(sources) == []
 
 
+BENCH = SRC.parents[1] / "bench"
+# Methods and properties kept public on purpose with no reader in src or bench,
+# each with its reason.
+PUBLIC_MEMBERS: dict[str, str] = {}
+
+
+def attribute_reads(tree, skip) -> set[str]:
+    """Names read as an attribute anywhere in ``tree``, outside the node ``skip``."""
+    inside = {id(n) for n in ast.walk(skip)}
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+
+
+def orphan_members(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Methods and properties, dunders aside, of the top-level classes of the
+    modules in ``package`` (name -> source) that no attribute read in
+    ``package`` or ``readers`` names, outside the member's own definition."""
+    trees = {name: ast.parse(source) for name, source in {**readers, **package}.items()}
+    found = []
+    for module in package:
+        for cls in trees[module].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__") \
+                        and not any(member.name in attribute_reads(tree, member)
+                                    for tree in trees.values()):
+                    found.append(f"{module}.{cls.name}.{member.name}")
+    return found
+
+
+def test_scan_finds_an_orphan_member():
+    package = {"a": "class K:\n    field: int = 0\n\n    def used(self):\n        pass\n\n"
+                    "    @property\n    def benched(self):\n        return 1\n\n"
+                    "    def written(self):\n        pass\n\n"
+                    "    def recursive(self):\n        return self.recursive()\n\n"
+                    "    def __repr__(self):\n        return ''\n",
+               "b": "from .a import K\nK().used()\nK().written = 1\n"}
+    bench = {"run": "from calib_lab.a import K\nprint(K().benched)\n"}
+    assert orphan_members(package, bench) == ["a.K.written", "a.K.recursive"]
+
+
+def test_every_class_member_is_read():
+    package = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = {f"bench/{p.stem}": p.read_text() for p in sorted(BENCH.glob("*.py"))}
+    assert sorted(orphan_members(package, bench)) == sorted(PUBLIC_MEMBERS)
+
+
 # Raw input is read by the check_* helpers and read_array of tensor_math alone.
 CHECKS_MODULE = "tensor_math"
 
