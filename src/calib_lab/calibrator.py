@@ -191,21 +191,21 @@ def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
 
 
 def forward_batch(p: CalibratorParams, F) -> np.ndarray:
-    """Temperatures for a finite feature matrix, shape (n,), one row block at a
-    time. BLAS rounds a matmul of a few rows differently from a long one, so a
-    short block is padded with zero rows to ``ROW_BLOCK`` and every row goes
-    through a call of one shape. Only the block's own rows are kept and checked:
-    features that overflow the network raise DomainError."""
+    """Temperatures for one model's finite (n, M*k) feature matrix, shape (n,),
+    one row block at a time. BLAS rounds a matmul of a few rows differently from
+    a long one, so a short block is padded with zero rows to ``ROW_BLOCK`` and
+    every row goes through a call of one shape. Only the block's own rows are
+    kept and checked: features that overflow the network raise DomainError."""
     F = _read_features(p, F, finite=True)
 
     def block(rows):
-        part = F[..., rows, :]
-        n, width = part.shape[-2], tensor_math.ROW_BLOCK
-        if n < width:
-            part = np.pad(part, [(0, 0)] * (part.ndim - 2) + [(0, width - n), (0, 0)])
-        return _forward_trace(p, part)[2][..., :n]
+        part = F[rows]
+        n = len(part)
+        if n < tensor_math.ROW_BLOCK:
+            part = np.pad(part, [(0, tensor_math.ROW_BLOCK - n), (0, 0)])
+        return _forward_trace(p, part)[2][:n]
     with np.errstate(over="ignore", invalid="ignore"):
-        taus = map_row_blocks(block, F.shape[-2], axis=-1)
+        taus = map_row_blocks(block, len(F))
     if not np.all(np.isfinite(taus)):
         raise DomainError("temperatures must be finite and > 0")
     return taus
@@ -223,10 +223,12 @@ def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.n
 
 def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
                kind: LossKind, mode: DiscrepancyMode) -> float:
-    """Mean configured loss of the calibrator on a batch; ``Z`` may be a
-    :class:`~calib_lab.losses.LogitBatch` with ``labels=None``. A stack of
-    models gives one mean per model."""
-    losses = np.mean(loss_values(Z, labels, forward_batch(p, F), kind, mode), axis=-1)
+    """Mean configured loss of the calibrator on a batch, from one unblocked
+    forward; ``Z`` may be a :class:`~calib_lab.losses.LogitBatch` with
+    ``labels=None``. A stack of models gives one mean per model."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        taus = _forward_trace(p, _read_features(p, F, finite=True))[2]
+    losses = np.mean(loss_values(Z, labels, taus, kind, mode), axis=-1)
     return float(losses) if losses.ndim == 0 else losses
 
 
@@ -257,13 +259,6 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
     return grads
 
 
-def softplus_inverse(y: float) -> float:
-    """Solve softplus(x) = y for y > 0: x = y + log(1 - e^-y), accurate for any y."""
-    if not y > 0:
-        raise DomainError("softplus inverse requires a positive value")
-    return float(y + np.log(-np.expm1(-y)))
-
-
 def init_params(n_classes: int, n_transforms: int, k: int, *, tau_min: float = DEFAULT_TAU_MIN,
                 seed: int = 0, two_hidden: bool = False) -> CalibratorParams:
     """Seeded uniform [-a, a] weight init with a = sqrt(6/(fan_in+fan_out));
@@ -286,7 +281,9 @@ def constant_temperature_params(tau: float, n_classes: int, n_transforms: int, k
                                 tau_min: float = DEFAULT_TAU_MIN) -> CalibratorParams:
     """Zero-weight calibrator emitting the same temperature for every input."""
     p = init_params(n_classes, n_transforms, k, tau_min=tau_min)
-    bias = softplus_inverse(check_real(tau, "tau", p.tau_min) - p.tau_min)
+    # The output bias solves softplus(b) = y = tau - tau_min > 0: b = y + log(1 - e^-y).
+    y = check_real(tau, "tau", p.tau_min) - p.tau_min
+    bias = float(y + np.log(-np.expm1(-y)))
     layers = [(np.zeros_like(w), np.zeros_like(b)) for w, b in p.layers]
     return replace(p, layers=layers[:-1] + [(layers[-1][0], [bias])])
 

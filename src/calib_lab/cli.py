@@ -106,21 +106,13 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _parse_bands(text: str):
-    bands = []
-    for part in text.split(","):
-        lo, _, hi = part.partition(":")
-        bands.append((float(lo), float(hi)))
-    return tuple(bands)
-
-
 def _cmd_wrongness(args) -> int:
     train_set = io.load_dataset(args.train_data)
     test_set = io.load_dataset(args.test_data)
+    bands = [[float(v) for v in part.split(":")] for part in args.bands.split(",")]
     rows = analysis.wrongness_experiment(
-        train_set, test_set, _train_config(args), bands=_parse_bands(args.bands),
-        count=args.count, vary=args.vary, train_wrong=args.train_wrong,
-        train_correct=args.train_correct)
+        train_set, test_set, _train_config(args), bands=bands, count=args.count,
+        vary=args.vary, train_wrong=args.train_wrong, train_correct=args.train_correct)
     io.export_band_rows_csv(args.out, rows)
     return 0
 

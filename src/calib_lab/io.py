@@ -175,7 +175,8 @@ def load_params(path) -> CalibratorParams:
     if not isinstance(obj, dict):
         raise InvalidInputError("parameter file must hold a JSON object")
     version = obj.get("version")
-    if version != PARAMS_VERSION:
+    # Only the integer: true and 1.0 compare equal to 1 but are not a version.
+    if type(version) is not int or version != PARAMS_VERSION:
         raise UnsupportedVersionError(f"unsupported parameter file version {version!r}, "
                                       f"expected {PARAMS_VERSION}")
     keys = layer_keys(3 if "W1b" in obj or "b1b" in obj else 2)

@@ -118,6 +118,7 @@ def decompose(confidences, correct, pairing: str = "lowest",
         order = stable_order(correct_conf)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
+        check_member(rng, np.random.Generator, "rng")
         order = rng.permutation(correct_conf.size)
     paired = correct_conf[order[:n_pair]]
     unpaired = correct_conf[order[n_pair:]]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_math import (check_integers, exp_rows, predicted_labels, read_array, shift_rows,
-                          top_confidence)
+from .tensor_math import check_integers, predicted_labels, read_array, row_softmax, top_confidence
 
 # Transform softmax rows must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
@@ -81,10 +80,13 @@ class Dataset:
         return self.transform_probs.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        """Selection-only subset; record contents are preserved bit-exactly."""
+        """Selection-only subset; record contents are preserved bit-exactly. Every
+        index must lie in [0, n): a negative one does not count from the end."""
         indices = check_integers(indices, "subset indices")
         if indices.size == 0:
             raise InvalidInputError("subset must keep at least one record")
+        if not (indices.min() >= 0 and indices.max() < self.n):
+            raise InvalidInputError(f"subset indices must lie in [0, {self.n})")
         return Dataset(self.logits[indices], self.labels[indices],
                        self.transform_probs[indices], self.record_ids[indices], _owned=True)
 
@@ -127,9 +129,7 @@ def wrongness_ratios(d: Dataset) -> np.ndarray:
     softmax works row by row, so it runs on the wrong rows alone."""
     view = correctness_view(d)
     wrong = np.flatnonzero(~view.correct)
-    Z = d.logits[wrong]  # a fresh copy, so the softmax runs in place in it
-    probs, total = exp_rows(shift_rows(Z, out=Z), out=Z)
-    probs /= total[:, None]
+    probs = row_softmax(d.logits[wrong])
     idx = np.arange(wrong.size)
     ratios = np.full(d.n, np.nan)
     ratios[wrong] = probs[idx, d.labels[wrong]] / probs[idx, view.predicted[wrong]]

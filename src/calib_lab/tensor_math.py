@@ -21,7 +21,6 @@ block-sized; every row gets the same bits whatever block it sits in.
 
 from __future__ import annotations
 
-import enum
 import numbers
 
 import numpy as np
@@ -40,8 +39,8 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, max(n, 1), ROW_BLOCK)]
 
 
-def map_row_blocks(fn, n: int, axis: int = 0) -> np.ndarray:
-    """``fn(rows)`` for each slice of :func:`row_blocks`, joined along ``axis``,
+def map_row_blocks(fn, n: int) -> np.ndarray:
+    """``fn(rows)`` for each slice of :func:`row_blocks`, joined along axis 0,
     the row axis of its outputs. A single block's output is returned as it is,
     so a one-block call allocates nothing beyond what ``fn`` does."""
     blocks = row_blocks(n)
@@ -51,10 +50,8 @@ def map_row_blocks(fn, n: int, axis: int = 0) -> np.ndarray:
     for rows in blocks:
         part = fn(rows)
         if out is None:
-            shape = list(part.shape)
-            shape[axis] = n
-            out = np.empty(shape, part.dtype)
-        np.moveaxis(out, axis, 0)[rows] = np.moveaxis(part, axis, 0)
+            out = np.empty((n,) + part.shape[1:], part.dtype)
+        out[rows] = part
     return out
 
 
@@ -111,9 +108,9 @@ def check_real(value, name: str, low: float, high: float = np.inf, *, closed: bo
     return v
 
 
-def check_member(value, kind: type[enum.Enum], name: str) -> None:
-    """Raise InvalidInputError unless ``value`` is a member of the enum ``kind``;
-    its string value is refused too."""
+def check_member(value, kind: type, name: str) -> None:
+    """Raise InvalidInputError unless ``value`` is an instance of ``kind``: for an
+    enum, one of its members, and a member's string value is refused too."""
     if not isinstance(value, kind):
         raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
 

@@ -211,6 +211,16 @@ def test_wrongness_subcommand(tmp_path):
     assert [r["method"] for r in rows] == ["uncal", "ce", "ca"]
 
 
+@pytest.mark.parametrize("bands", ["0.5", "0.5:0.6,0.7"])
+def test_wrongness_refuses_a_band_that_is_not_a_pair(tmp_path, capsys, bands):
+    data = synth(tmp_path, "d.jsonl", n=50)
+    out = tmp_path / "w.csv"
+    assert run(["wrongness", "--train-data", str(data), "--test-data", str(data),
+                "--out", str(out), "--bands", bands]) == 2
+    assert "bands" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_wrongness_line_runs_with_its_defaults(tmp_path):
     # The README's desk data; its sparsest band, [0.8, 1.0), holds 79 wrong
     # records of the test set and 257 of the training set.

@@ -102,8 +102,9 @@ RAW_PAIR = {"confidences": raw_arrays(20), "correct": raw_arrays(20, st.sampled_
 
 
 @SETTINGS
-@given(calls({**PAIR, "bins": st.integers(1, 50)}, {**RAW_PAIR, "bins": SMALL_COUNTS}))
-def test_metrics_and_losses(kw):
+@given(calls({**PAIR, "bins": st.integers(1, 50)}, {**RAW_PAIR, "bins": SMALL_COUNTS}),
+       st.none() | SEEDS.map(np.random.default_rng) | REALS)
+def test_metrics_and_losses(kw, rng):
     for fn in (cl.brier_top_label, cl.ks_error, cl.auroc, cl.ca_loss_batch):
         value = outcome(fn, kw["confidences"], kw["correct"])
         if value is not None:
@@ -111,9 +112,10 @@ def test_metrics_and_losses(kw):
     value = outcome(cl.ece, **kw)
     if value is not None:
         assert_finite(value, ())
-    split = outcome(cl.decompose, kw["confidences"], kw["correct"])
-    if split is not None:
-        assert_finite([split.e_diff, split.e_plus, split.rho, split.reconstruction])
+    for pairing in ("lowest", "random"):
+        split = outcome(cl.decompose, kw["confidences"], kw["correct"], pairing, rng=rng)
+        if split is not None:
+            assert_finite([split.e_diff, split.e_plus, split.rho, split.reconstruction])
 
 
 @SETTINGS
@@ -176,6 +178,16 @@ def test_dataset_and_everything_that_scores_it(kw):
     assert np.all((confidences > 0.0) & (confidences <= 1.0))
     rep = outcome(cl.report, d, confidences)
     assert_finite([rep.ece, rep.brier, rep.ks, rep.accuracy])
+
+
+@SETTINGS
+@given(hnp.arrays(np.int64, st.integers(0, 6), elements=st.integers(-DATA.n, 2 * DATA.n))
+       | st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=4) | raw_arrays(3))
+def test_dataset_subset(indices):
+    d = outcome(DATA.subset, indices)
+    if d is not None:
+        assert np.array_equal(d.record_ids, DATA.record_ids[np.asarray(indices)])
+        assert_finite(d.logits, (d.n, C))
 
 
 @SETTINGS

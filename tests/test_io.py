@@ -156,11 +156,13 @@ def test_params_lone_second_hidden_key_names_the_missing_key(tmp_path, missing):
         load_params(path)
 
 
-def test_params_version_check(tmp_path):
+@pytest.mark.parametrize("version", [99, True, 1.0])
+def test_params_version_check(tmp_path, version):
+    # true and 1.0 compare equal to the version 1 but are not the integer 1.
     path = tmp_path / "params.json"
     save_params(path, init_params(4, 1, 2, seed=0))
     obj = json.loads(path.read_text())
-    obj["version"] = 99
+    obj["version"] = version
     path.write_text(json.dumps(obj))
     with pytest.raises(UnsupportedVersionError):
         load_params(path)

@@ -110,6 +110,12 @@ def test_decompose_identity_random_batches_both_pairings():
         checked += 1
 
 
+@pytest.mark.parametrize("rng", [5, "seed", np.random.RandomState(0)])
+def test_decompose_refuses_an_rng_that_is_not_a_generator(rng):
+    with pytest.raises(InvalidInputError, match="rng must be a Generator"):
+        decompose([0.9, 0.8, 0.6], [True, True, False], "random", rng=rng)
+
+
 def test_decompose_below_half_accuracy_is_diagnostic_only():
     dec = decompose([0.6, 0.7, 0.8], [True, False, False])
     assert dec.rho < 0.5

@@ -131,6 +131,13 @@ def test_subset_refuses_non_integer_indices(indices):
         d.subset(indices)
 
 
+@pytest.mark.parametrize("indices", [[3], [-1], [0, 10 ** 6], [-4]])
+def test_subset_refuses_indices_outside_the_dataset(indices):
+    d = Dataset(np.zeros((3, 2)), [0, 1, 0], np.full((3, 1, 2), 0.5))
+    with pytest.raises(InvalidInputError, match=r"subset indices must lie in \[0, 3\)"):
+        d.subset(indices)
+
+
 def _corrupt(what):
     logits, labels = np.zeros((4, 3)), np.array([0, 1, 2, 0])
     probs = np.full((4, 2, 3), 1.0 / 3.0)
