@@ -14,8 +14,8 @@ from .calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from .datagen import craft_wrongness_set
 from .errors import DomainError
 from .losses import DiscrepancyMode, LossKind, loss_values
-from .records import Dataset, correctness_view
-from .tensor_math import check_member, read_array, row_softmax
+from .records import Dataset
+from .tensor_math import read_array, row_softmax
 
 # Four-way template with the ground truth on class 0 and the wrongly
 # predicted class fixed at logit 2.0.
@@ -60,7 +60,7 @@ class BandRow:
 class KSweepRow:
     k: int
     ks: float
-    auroc: float
+    auroc: float  # NaN when only one outcome class is present
     ks_uncal: float
     auroc_uncal: float
 
@@ -68,11 +68,11 @@ class KSweepRow:
 def loss_surface(kind: LossKind, a_values=None, tau_values=None,
                  mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> SurfaceGrid:
     """Evaluate one loss on the wrongly predicted template sample
-    [a, 2.0, 0.1, 0.05] (label 0) over a grid of a and tau."""
-    check_member(kind, LossKind, "loss kind")
-    check_member(mode, DiscrepancyMode, "discrepancy mode")
-    a_values = default_a_grid() if a_values is None else read_array(a_values, "a values")
-    tau_values = default_tau_grid() if tau_values is None else read_array(tau_values, "tau values")
+    [a, 2.0, 0.1, 0.05] (label 0) over a grid of a and tau, each a vector."""
+    a_values = default_a_grid() if a_values is None else read_array(
+        a_values, "a values", shape=(None,))
+    tau_values = default_tau_grid() if tau_values is None else read_array(
+        tau_values, "tau values", shape=(None,))
     if a_values.size == 0 or tau_values.size == 0:
         raise DomainError("loss surface needs at least one a value and one tau value")
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
@@ -131,19 +131,12 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
 
 def k_sweep(train_set: Dataset, test_set: Dataset, k_values, config: TrainConfig) -> list[KSweepRow]:
     """Train one CA calibrator per k and report held-out KS and AUROC,
-    with the uncalibrated values alongside."""
-    view = correctness_view(test_set)
-    ks_uncal = metrics.ks_error(view.confidence, view.correct)
-    auroc_uncal = metrics.auroc(view.confidence, view.correct)
+    with the uncalibrated values alongside; AUROC is NaN where it is undefined."""
+    uncal = metrics.report(test_set)
     rows = []
     for k in k_values:
         params, _ = train(train_set, replace(config, k=k), trace=False)
-        _, conf = calibrate_dataset(params, test_set)
-        rows.append(KSweepRow(
-            k=k,
-            ks=metrics.ks_error(conf, view.correct),
-            auroc=metrics.auroc(conf, view.correct),
-            ks_uncal=ks_uncal,
-            auroc_uncal=auroc_uncal,
-        ))
+        rep = metrics.report(test_set, calibrate_dataset(params, test_set)[1])
+        rows.append(KSweepRow(k=k, ks=rep.ks, auroc=rep.auroc, ks_uncal=uncal.ks,
+                              auroc_uncal=uncal.auroc))
     return rows

@@ -25,8 +25,8 @@ from . import tensor_math
 from .errors import DomainError, InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
-from .tensor_math import (check_count, check_member, check_real, map_row_blocks, read_array,
-                          sigmoid, softplus, top_confidence, top_k_indices)
+from .tensor_math import (check_count, check_integers, check_member, check_real, map_row_blocks,
+                          read_array, sigmoid, softplus, top_confidence, top_k_indices)
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -140,16 +140,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingTrace:
-    """Full-training-set loss per epoch; index 0 is the initial loss. A
-    training run without the trace keeps only the initial and the final
-    loss, so ``losses[0]`` and ``losses[-1]`` mean the same either way."""
+    """Full-training-set loss at each of ``epochs`` (by default, entry i at epoch i);
+    epoch 0 is the initial loss. A run without the trace keeps only the initial and the
+    final loss, at epochs [0, E], so ``losses[0]`` and ``losses[-1]`` mean the same either way."""
 
     losses: np.ndarray
+    epochs: np.ndarray | None = None
 
     def __post_init__(self):
         losses = np.array(self.losses, dtype=np.float64)
-        losses.setflags(write=False)
-        object.__setattr__(self, "losses", losses)
+        epochs = np.array(np.arange(losses.size) if self.epochs is None
+                          else check_integers(self.epochs, "trace epochs", losses.shape))
+        for name, values in (("losses", losses), ("epochs", epochs)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:
@@ -391,7 +395,7 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
             raise diverged(epoch, values)
         return values
 
-    losses = [full_loss(0)]
+    losses, epochs = [full_loss(0)], [0]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -422,8 +426,9 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
             raise diverged(epoch, adam_v)
         if trace or epoch == config.epochs:
             losses.append(full_loss(epoch))
+            epochs.append(epoch)
         elif not np.all(np.isfinite(taus := _forward_trace(net, F)[2])):
             raise diverged(epoch, taus, "temperatures must be finite and > 0")
 
     losses = np.stack(losses)
-    return [(p, TrainingTrace(losses[:, r])) for r, p in enumerate(net.params())]
+    return [(p, TrainingTrace(losses[:, r], epochs)) for r, p in enumerate(net.params())]

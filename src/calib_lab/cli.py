@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,40 +28,47 @@ from .records import correctness_view
 from .tensor_math import check_real
 
 
+def _given(args, names) -> dict:
+    """The arguments among ``names`` given on the command line. Config and experiment
+    flags have no default (``argument_default``): an omitted one keeps the library's."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _config(cls, args):
+    """A ``cls`` config from the flags given for its fields."""
+    return cls(**_given(args, (f.name for f in fields(cls))))
+
+
+def _enum_flag(parser: argparse.ArgumentParser, flag: str, kind, **kwargs) -> None:
+    """A flag parsed straight to a member of the enum ``kind``, listing its values."""
+    parser.add_argument(flag, type=kind, metavar="{%s}" % ",".join(m.value for m in kind), **kwargs)
+
+
+def _bands(text: str) -> list:
+    """``low:high`` pairs separated by commas, as a list of float lists."""
+    return [[float(v) for v in part.split(":")] for part in text.split(",")]
+
+
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--loss", choices=[k.value for k in LossKind], default="ca")
-    parser.add_argument("--mode", choices=[m.value for m in DiscrepancyMode], default="sq")
-    parser.add_argument("--k", type=int, default=4)
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--lr", type=float, default=1e-2)
-    parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tau-min", type=float, default=calibrator.DEFAULT_TAU_MIN)
+    _enum_flag(parser, "--loss", LossKind)
+    _enum_flag(parser, "--mode", DiscrepancyMode)
+    for flag in ("--k", "--epochs", "--batch-size", "--seed"):
+        parser.add_argument(flag, type=int)
+    parser.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    parser.add_argument("--tau-min", type=float)
     parser.add_argument("--two-hidden", action="store_true",
                         help="use two 5-node hidden layers instead of one")
 
 
-def _train_config(args) -> calibrator.TrainConfig:
-    return calibrator.TrainConfig(
-        loss=LossKind(args.loss), mode=DiscrepancyMode(args.mode), k=args.k,
-        epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-        seed=args.seed, tau_min=args.tau_min, two_hidden=args.two_hidden)
-
-
 def _cmd_synth(args) -> int:
-    cfg = datagen.SynthConfig(
-        n_classes=args.classes, n_transforms=args.transforms, n=args.n,
-        target_rho=args.target_rho, sharpness=args.sharpness,
-        p_agree_correct=args.p_agree_correct, p_agree_wrong=args.p_agree_wrong,
-        noise=args.noise, concentration=args.concentration,
-        wrongness_skew=args.wrongness_skew, seed=args.seed)
-    io.save_dataset(args.out, datagen.generate(cfg))
+    io.save_dataset(args.out, datagen.generate(_config(datagen.SynthConfig, args)))
     return 0
 
 
 def _cmd_train(args) -> int:
     d = io.load_dataset(args.data)
-    params, trace = calibrator.train(d, _train_config(args), trace=bool(args.trace))
+    params, trace = calibrator.train(d, _config(calibrator.TrainConfig, args),
+                                     trace=bool(args.trace))
     io.save_params(args.out, params)
     if args.trace:
         io.export_trace_csv(args.trace, trace)
@@ -100,19 +108,16 @@ def _cmd_surface(args) -> int:
     a_values = np.linspace(args.a_min, args.a_max,
                            int(round((args.a_max - args.a_min) / args.a_step)) + 1)
     tau_values = np.geomspace(args.tau_lo, args.tau_hi, args.tau_points)
-    grid = analysis.loss_surface(LossKind(args.loss), a_values, tau_values,
-                                 DiscrepancyMode(args.mode))
+    grid = analysis.loss_surface(args.loss, a_values, tau_values, **_given(args, ("mode",)))
     io.export_surface_csv(args.out, grid)
     return 0
 
 
 def _cmd_wrongness(args) -> int:
-    train_set = io.load_dataset(args.train_data)
-    test_set = io.load_dataset(args.test_data)
-    bands = [[float(v) for v in part.split(":")] for part in args.bands.split(",")]
     rows = analysis.wrongness_experiment(
-        train_set, test_set, _train_config(args), bands=bands, count=args.count,
-        vary=args.vary, train_wrong=args.train_wrong, train_correct=args.train_correct)
+        io.load_dataset(args.train_data), io.load_dataset(args.test_data),
+        _config(calibrator.TrainConfig, args),
+        **_given(args, ("bands", "count", "vary", "train_wrong", "train_correct")))
     io.export_band_rows_csv(args.out, rows)
     return 0
 
@@ -121,7 +126,7 @@ def _cmd_ksweep(args) -> int:
     train_set = io.load_dataset(args.train_data)
     test_set = io.load_dataset(args.test_data)
     k_values = [int(part) for part in args.k_values.split(",")]
-    rows = analysis.k_sweep(train_set, test_set, k_values, _train_config(args))
+    rows = analysis.k_sweep(train_set, test_set, k_values, _config(calibrator.TrainConfig, args))
     io.export_ksweep_csv(args.out, rows)
     return 0
 
@@ -131,25 +136,22 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Post-hoc confidence calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    no_default = {"argument_default": argparse.SUPPRESS}
+    p = sub.add_parser("synth", help="generate a synthetic dataset", **no_default)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--classes", type=int, default=10)
-    p.add_argument("--transforms", type=int, default=3)
-    p.add_argument("--target-rho", type=float, default=0.7)
-    p.add_argument("--sharpness", type=float, default=5.0)
-    p.add_argument("--p-agree-correct", type=float, default=0.9)
-    p.add_argument("--p-agree-wrong", type=float, default=0.5)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--concentration", type=float, default=20.0)
-    p.add_argument("--wrongness-skew", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int)
+    p.add_argument("--classes", dest="n_classes", metavar="CLASSES", type=int)
+    p.add_argument("--transforms", dest="n_transforms", metavar="TRANSFORMS", type=int)
+    for flag in ("--target-rho", "--sharpness", "--p-agree-correct", "--p-agree-wrong",
+                 "--noise", "--concentration", "--wrongness-skew"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a calibrator")
+    p = sub.add_parser("train", help="train a calibrator", **no_default)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output params JSON")
-    p.add_argument("--trace", help="optional per-epoch loss CSV")
+    p.add_argument("--trace", default=None, help="optional per-epoch loss CSV")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_train)
 
@@ -173,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("surface", help="loss-surface grid CSV")
-    p.add_argument("--loss", choices=[k.value for k in LossKind], required=True)
-    p.add_argument("--mode", choices=[m.value for m in DiscrepancyMode], default="sq")
+    _enum_flag(p, "--loss", LossKind, required=True)
+    _enum_flag(p, "--mode", DiscrepancyMode, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.add_argument("--a-min", type=float, default=-2.0)
     p.add_argument("--a-max", type=float, default=1.95)
@@ -184,19 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-points", type=int, default=200)
     p.set_defaults(func=_cmd_surface)
 
-    p = sub.add_parser("wrongness", help="wrongness-band experiment CSV")
+    p = sub.add_parser("wrongness", help="wrongness-band experiment CSV", **no_default)
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bands", default="0.8:1.0,0.6:0.8,0.4:0.6,0.2:0.4,0.0:0.2")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--vary", choices=["test", "train"], default="test")
-    p.add_argument("--train-wrong", type=int, default=200)
-    p.add_argument("--train-correct", type=int, default=1000)
+    p.add_argument("--bands", type=_bands)
+    p.add_argument("--count", type=int)
+    p.add_argument("--vary", choices=["test", "train"])
+    p.add_argument("--train-wrong", type=int)
+    p.add_argument("--train-correct", type=int)
     _add_train_flags(p)
     p.set_defaults(func=_cmd_wrongness)
 
-    p = sub.add_parser("ksweep", help="top-k sweep CSV")
+    p = sub.add_parser("ksweep", help="top-k sweep CSV", **no_default)
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
     p.add_argument("--out", required=True)

@@ -27,7 +27,7 @@ from .calibrator import CalibratorParams, TrainingTrace, layer_keys
 from .errors import DatasetFormatError, InvalidInputError, UnsupportedVersionError
 from .metrics import MetricsReport
 from .records import PROB_SUM_TOL, Dataset
-from .tensor_math import read_array
+from .tensor_math import check_member, read_array
 
 PARAMS_VERSION = 1
 
@@ -201,16 +201,10 @@ def _write_csv(path, header, rows) -> None:
                           for v in row] for row in rows)
 
 
-def _checked(value, cls, message: str):
-    if not isinstance(value, cls):
-        raise InvalidInputError(message)
-    return value
-
-
 def _export_dataclass_rows(path, cls, rows) -> None:
     """Dataclass rows under a header of their field names."""
     _write_csv(path, [f.name for f in fields(cls)],
-               (astuple(_checked(row, cls, f"expected {cls.__name__} entries")) for row in rows))
+               (astuple(check_member(row, cls, "row")) for row in rows))
 
 
 def export_metrics_csv(path, rows, raw: bool = False) -> None:
@@ -218,7 +212,7 @@ def export_metrics_csv(path, rows, raw: bool = False) -> None:
     written x100 with two decimals unless ``raw`` asks for exact floats;
     an undefined (NaN) value is an empty cell either way."""
     def cells(method, rep):
-        rep = _checked(rep, MetricsReport, "rows must pair a method name with a MetricsReport")
+        check_member(rep, MetricsReport, "each row's report")
         values = (float(v) for v in (rep.ece, rep.brier, rep.ks, rep.auroc, rep.accuracy))
         return [method, *(v if raw or v != v else f"{100.0 * v:.2f}" for v in values), rep.n]
     _write_csv(path, METRICS_HEADER, (cells(method, rep) for method, rep in rows))
@@ -226,6 +220,7 @@ def export_metrics_csv(path, rows, raw: bool = False) -> None:
 
 def export_surface_csv(path, grid: SurfaceGrid) -> None:
     """Long-format surface grid, a-major, exact float values."""
+    check_member(grid, SurfaceGrid, "surface grid")
     a, tau = np.meshgrid(grid.a_values, grid.tau_values, indexing="ij")
     columns = (np.asarray(c, dtype=np.float64).ravel().tolist()
                for c in (a, tau, grid.loss, grid.c_gt))
@@ -241,7 +236,8 @@ def export_ksweep_csv(path, rows) -> None:
 
 
 def export_trace_csv(path, trace: TrainingTrace) -> None:
-    _write_csv(path, ("epoch", "loss"), enumerate(trace.losses.tolist()))
+    check_member(trace, TrainingTrace, "trace")
+    _write_csv(path, ("epoch", "loss"), zip(trace.epochs.tolist(), trace.losses.tolist()))
 
 
 def export_confidence_csv(path, record_ids, labels, predicted, correct, taus, confidences) -> None:

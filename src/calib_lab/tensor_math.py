@@ -79,10 +79,7 @@ def read_array(values, name: str, kinds: str = "iuf", *, shape: tuple | None = N
 
 def check_logits(Z) -> np.ndarray:
     """An (n, C) logit matrix as float64, checked to hold only finite entries."""
-    Z = read_array(Z, "logits", finite=True)
-    if Z.ndim != 2:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {Z.shape}")
-    return Z
+    return read_array(Z, "logits", shape=(None, None), finite=True)
 
 
 def check_integers(values, name: str, shape: tuple | None = None) -> np.ndarray:
@@ -108,11 +105,12 @@ def check_real(value, name: str, low: float, high: float = np.inf, *, closed: bo
     return v
 
 
-def check_member(value, kind: type, name: str) -> None:
-    """Raise InvalidInputError unless ``value`` is an instance of ``kind``: for an
-    enum, one of its members, and a member's string value is refused too."""
+def check_member(value, kind: type, name: str):
+    """``value``, after raising InvalidInputError unless it is an instance of ``kind``:
+    for an enum, one of its members, and a member's string value is refused too."""
     if not isinstance(value, kind):
         raise InvalidInputError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from calib_lab.calibrator import TrainConfig, calibrate_dataset, train, train_st
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
 from calib_lab.errors import DomainError, InvalidInputError, ShortfallError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
-from calib_lab.metrics import DEFAULT_BINS, auroc, ece
+from calib_lab.metrics import DEFAULT_BINS, auroc, ece, ks_error
 from calib_lab.records import correctness_view
 from calib_lab.tensor_math import row_softmax
 
@@ -244,3 +244,37 @@ def test_k_sweep_deterministic(small_pools):
     train_set, test_set = small_pools
     cfg = TrainConfig(epochs=5, seed=3)
     assert k_sweep(train_set, test_set, [4], cfg) == k_sweep(train_set, test_set, [4], cfg)
+
+
+@pytest.mark.parametrize("a_values,tau_values,name", [
+    ([[0.0, 1.0], [0.5, -1.0]], [1.0, 2.0], "a values"),
+    ([0.0, 1.0], [[1.0, 2.0]], "tau values"),
+    (0.5, [1.0, 2.0], "a values"),
+])
+def test_surface_refuses_a_grid_that_is_not_a_vector(a_values, tau_values, name):
+    # A 2-D a grid once came back as a (2, 2) a_values beside a (4, 2) loss, and a
+    # 2-D tau grid failed naming the temperatures rather than the grid.
+    with pytest.raises(InvalidInputError, match=f"{name} has shape"):
+        loss_surface(LossKind.CA, a_values=a_values, tau_values=tau_values)
+
+
+def test_k_sweep_rows_are_the_report_values(small_pools):
+    train_set, test_set = small_pools
+    cfg = TrainConfig(epochs=2, seed=5)
+    (row,) = k_sweep(train_set, test_set, [3], cfg)
+    view = correctness_view(test_set)
+    conf = calibrate_dataset(train(train_set, replace(cfg, k=3))[0], test_set)[1]
+    assert (row.ks, row.auroc) == (ks_error(conf, view.correct), auroc(conf, view.correct))
+    assert (row.ks_uncal, row.auroc_uncal) == (ks_error(view.confidence, view.correct),
+                                               auroc(view.confidence, view.correct))
+
+
+def test_k_sweep_gives_a_nan_auroc_on_a_set_of_one_outcome(small_pools):
+    # The sweep once raised UndefinedMetricError here; its rows now come from
+    # metrics.report, as the band rows do.
+    train_set, test_set = small_pools
+    correct = test_set.subset(np.flatnonzero(correctness_view(test_set).correct)[:300])
+    rows = k_sweep(train_set, correct, [1, 4], TrainConfig(epochs=1))
+    assert [r.k for r in rows] == [1, 4]
+    assert all(np.isnan(r.auroc) and np.isnan(r.auroc_uncal) for r in rows)
+    assert all(np.isfinite(r.ks) and np.isfinite(r.ks_uncal) for r in rows)

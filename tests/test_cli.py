@@ -1,18 +1,23 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from calib_lab import analysis, calibrator, datagen
+from calib_lab.analysis import wrongness_experiment
 from calib_lab.calibrator import (TrainConfig, calibrate_dataset, constant_temperature_params,
                                   train)
-from calib_lab.cli import run
+from calib_lab.cli import build_parser, run
 from calib_lab.datagen import SynthConfig, generate
 from calib_lab.io import load_dataset, save_dataset, save_params
+from calib_lab.losses import DiscrepancyMode, LossKind
 from calib_lab.metrics import brier_top_label, ece, ks_error
 from calib_lab.records import correctness_view
 
@@ -302,3 +307,70 @@ def test_eval_of_a_wrong_only_set_leaves_auroc_empty(tmp_path, raw):
                 "ks": ks_error(view.confidence, view.correct), "accuracy": 0.0}
     for key, value in expected.items():
         assert row[key] == (repr(value) if raw else f"{100.0 * value:.2f}")
+
+
+# Every config field and experiment argument set to a value other than its default.
+SYNTH_FLAGS = ["--n", "7", "--classes", "3", "--transforms", "2", "--target-rho", "0.5",
+               "--sharpness", "2.5", "--p-agree-correct", "0.8", "--p-agree-wrong", "0.4",
+               "--noise", "0.5", "--concentration", "10", "--wrongness-skew", "2", "--seed", "9"]
+SYNTH_GIVEN = SynthConfig(n=7, n_classes=3, n_transforms=2, target_rho=0.5, sharpness=2.5,
+                          p_agree_correct=0.8, p_agree_wrong=0.4, noise=0.5, concentration=10.0,
+                          wrongness_skew=2.0, seed=9)
+TRAIN_FLAGS = ["--loss", "ce", "--mode", "l1", "--k", "3", "--epochs", "2", "--batch-size", "7",
+               "--lr", "0.5", "--seed", "9", "--tau-min", "0.2", "--two-hidden"]
+TRAIN_GIVEN = TrainConfig(loss=LossKind.CE, mode=DiscrepancyMode.L1, k=3, epochs=2, batch_size=7,
+                          learning_rate=0.5, seed=9, tau_min=0.2, two_hidden=True)
+EXPERIMENT_FLAGS = ["--bands", "0.5:1.0,0.0:0.2", "--count", "7", "--vary", "train",
+                    "--train-wrong", "3", "--train-correct", "4"]
+EXPERIMENT_GIVEN = {"bands": [[0.5, 1.0], [0.0, 0.2]], "count": 7, "vary": "train",
+                    "train_wrong": 3, "train_correct": 4}
+
+
+def test_every_config_field_has_a_flag_parsed_to_its_name(capsys):
+    for config in (SYNTH_GIVEN, TRAIN_GIVEN):
+        assert all(getattr(config, f.name) != f.default for f in fields(config))
+    signature = inspect.signature(wrongness_experiment).parameters
+    assert all(signature[name].default != value for name, value in EXPERIMENT_GIVEN.items())
+    pair = ["--train-data", "a", "--test-data", "b", "--out", "c"]
+    parser = build_parser()
+    for argv, config, extra in (
+            (["synth", "--out", "c", *SYNTH_FLAGS], SYNTH_GIVEN, {}),
+            (["train", "--data", "a", "--out", "c", *TRAIN_FLAGS], TRAIN_GIVEN, {}),
+            (["wrongness", *pair, *TRAIN_FLAGS, *EXPERIMENT_FLAGS], TRAIN_GIVEN, EXPERIMENT_GIVEN),
+            (["ksweep", *pair, *TRAIN_FLAGS], TRAIN_GIVEN, {})):
+        args = vars(parser.parse_args(argv))
+        assert {name: args[name] for name in asdict(config)} == asdict(config)
+        assert {name: args[name] for name in extra} == extra
+    # The loss and mode parse to their enums, and the help still lists their values.
+    assert run(["train", "--help"]) == 0
+    assert "--loss {ca,ce,mse}" in capsys.readouterr().out
+    assert run(["surface", "--help"]) == 0
+    assert "--mode {l1,sq}" in capsys.readouterr().out
+
+
+def test_omitted_flags_take_the_library_defaults(tmp_path, monkeypatch):
+    data = synth(tmp_path, "d.jsonl", n=50)
+    d = load_dataset(data)
+    calls = {}
+
+    def stub(module, name, result):
+        def record(*args, **kwargs):
+            calls[name] = args, kwargs
+            return result
+        monkeypatch.setattr(module, name, record)
+
+    stub(datagen, "generate", d)
+    stub(calibrator, "train", train(d, TrainConfig(epochs=1)))
+    stub(analysis, "wrongness_experiment", [])
+    stub(analysis, "k_sweep", [])
+    out = str(tmp_path / "out")
+    pair = ["--train-data", str(data), "--test-data", str(data), "--out", out]
+    for argv in (["synth", "--out", out], ["train", "--data", str(data), "--out", out],
+                 ["wrongness", *pair], ["ksweep", *pair]):
+        assert run(argv) == 0
+    assert calls["generate"] == ((SynthConfig(),), {})
+    assert calls["train"][1:] == ({"trace": False},) and calls["train"][0][1] == TrainConfig()
+    # No experiment argument is passed, so wrongness_experiment's own defaults apply.
+    assert calls["wrongness_experiment"][0][2:] == (TrainConfig(),)
+    assert calls["wrongness_experiment"][1] == {}
+    assert calls["k_sweep"][0][3] == TrainConfig()

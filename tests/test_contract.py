@@ -214,6 +214,40 @@ def test_loss_surface(kw, kind, mode):
         assert_finite(grid.c_gt, shape)
 
 
+def any_rank(elements):
+    """Float arrays of rank 0, 1 or 2, empty ones included."""
+    return arrays(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4), elements)
+
+
+@SETTINGS
+@given(any_rank(between(-MAX, 1.99)), any_rank(between(TINY, MAX)))
+def test_loss_surface_grids_of_any_rank(a_values, tau_values):
+    # Only vectors are grids: a 2-D one once came back with a loss of another shape.
+    grid = outcome(cl.loss_surface, LossKind.CA, a_values, tau_values)
+    if grid is not None:
+        assert grid.a_values.shape == a_values.shape and grid.tau_values.shape == tau_values.shape
+        assert_finite(grid.loss, a_values.shape + tau_values.shape)
+        assert_finite(grid.c_gt, a_values.shape + tau_values.shape)
+
+
+GRID = cl.loss_surface(LossKind.CA, [0.0, 1.0], [0.5, 2.0])
+TRACE = cl.TrainingTrace([0.5, 0.25])
+# Stand-ins for the one object an exporter takes: the others' objects and raw values.
+EXPORTED = st.sampled_from([GRID, TRACE, DATA, PARAMS, GRID.loss, cl.report(DATA)]) | ODD
+
+
+@SETTINGS
+@given(EXPORTED, EXPORTED)
+def test_exporters_of_one_object(grid, trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        for export, value, cls in ((cl.export_surface_csv, grid, cl.SurfaceGrid),
+                                   (cl.export_trace_csv, trace, cl.TrainingTrace)):
+            path = Path(tmp) / "out.csv"
+            written = outcome(lambda: export(path, value) or True)
+            assert bool(written) == isinstance(value, cls) == path.exists()
+            path.unlink(missing_ok=True)
+
+
 @SETTINGS
 @given(calls({"n_classes": st.integers(2, 6), "n_transforms": st.integers(1, 4),
               "n": st.integers(1, 40), "seed": SEEDS, "target_rho": between(TINY, 1.0),

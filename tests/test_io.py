@@ -278,6 +278,41 @@ def test_trace_csv_numbers_epochs_from_zero(tmp_path):
     assert path.read_text().splitlines() == ["epoch,loss", "0,0.5", "1,0.25", f"2,{1 / 3!r}"]
 
 
+def test_trace_csv_labels_each_loss_with_its_epoch(tmp_path):
+    # An untraced run keeps the initial and the final loss; the final one was
+    # once written as epoch 1.
+    d = generate(SynthConfig(n=120, seed=51))
+    cfg = TrainConfig(epochs=5, seed=1)
+    (_, traced), (_, short) = train(d, cfg), train(d, cfg, trace=False)
+    assert traced.epochs.tolist() == list(range(6)) and short.epochs.tolist() == [0, 5]
+    for trace, name in ((traced, "traced.csv"), (short, "short.csv")):
+        export_trace_csv(tmp_path / name, trace)
+    lines = (tmp_path / "traced.csv").read_text().splitlines()
+    assert lines == ["epoch,loss", *(f"{e},{v!r}" for e, v in enumerate(traced.losses.tolist()))]
+    assert (tmp_path / "short.csv").read_text().splitlines() == [lines[0], lines[1], lines[-1]]
+
+
+def test_trace_refuses_epochs_that_do_not_match_its_losses():
+    assert TrainingTrace([0.5, 0.25], [0, 7]).epochs.tolist() == [0, 7]
+    for epochs, message in (([0], "has shape"), ([0.0, 1.0], "cannot hold"),
+                            ([[0, 1]], "has shape")):
+        with pytest.raises(InvalidInputError, match=f"trace epochs {message}"):
+            TrainingTrace([0.5, 0.25], epochs)
+
+
+@pytest.mark.parametrize("export,value", [
+    (export_surface_csv, "x"), (export_trace_csv, "x"), (export_surface_csv, [0.5]),
+    (export_trace_csv, np.array([0.5, 0.25])), (export_band_rows_csv, ["x"]),
+    (export_ksweep_csv, [(4, 0.1, 0.9, 0.2, 0.8)]), (export_metrics_csv, [("uncal", 0.5)]),
+])
+def test_exporters_refuse_a_wrong_typed_argument(tmp_path, export, value):
+    # The surface and trace exporters once raised a bare AttributeError.
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidInputError, match="must be a"):
+        export(path, value)
+    assert not path.exists()
+
+
 def test_confidence_csv_writes_correctness_as_0_or_1(tmp_path):
     path = tmp_path / "applied.csv"
     export_confidence_csv(path, np.array([3, 7]), [1, 0], np.array([1, 2]),

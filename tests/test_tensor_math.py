@@ -30,6 +30,12 @@ def test_softmax_rejects_non_finite():
         row_softmax([[np.nan, 0.0]])
 
 
+def test_logits_that_are_not_a_matrix_are_named_in_the_error():
+    for Z in ([0.0, 1.0], [[[0.0, 1.0]]], 0.5):
+        with pytest.raises(InvalidInputError, match=r"logits has shape .*, expected \(None, None\)"):
+            row_softmax(Z)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=20))
 def test_softmax_sums_to_one(logits):
