@@ -14,9 +14,8 @@ from .calibrator import (CalibratorParams, TrainConfig, TrainingTrace, calibrate
                          constant_temperature_params, feature_matrix, forward_batch,
                          grad_params, init_params, train, train_stack)
 from .datagen import SynthConfig, craft_wrongness_set, generate
-from .errors import (CalibrationError, DatasetFormatError, DomainError, InvalidInputError,
-                     ShortfallError, TrainingDivergedError, UndefinedMetricError,
-                     UnsupportedVersionError)
+from .errors import (CalibrationError, DatasetFormatError, InvalidInputError, ShortfallError,
+                     TrainingDivergedError, UndefinedMetricError, UnsupportedVersionError)
 from .io import (export_band_rows_csv, export_confidence_csv, export_ksweep_csv,
                  export_metrics_csv, export_surface_csv, export_trace_csv, load_dataset,
                  load_params, save_dataset, save_params)

@@ -12,10 +12,10 @@ import numpy as np
 from . import metrics
 from .calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from .datagen import craft_wrongness_set
-from .errors import DomainError
+from .errors import InvalidInputError
 from .losses import DiscrepancyMode, LossKind, loss_values
 from .records import Dataset
-from .tensor_math import read_array, row_softmax
+from .tensor_math import check_member, read_array, row_softmax
 
 # Four-way template with the ground truth on class 0 and the wrongly
 # predicted class fixed at logit 2.0.
@@ -33,7 +33,7 @@ def default_tau_grid() -> np.ndarray:
     return np.geomspace(0.05, 20.0, 200)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Loss values over the (a, tau) grid for one loss, with the
     ground-truth softmax score recorded at each grid point."""
@@ -44,6 +44,14 @@ class SurfaceGrid:
     tau_values: np.ndarray
     loss: np.ndarray  # (|a|, |tau|)
     c_gt: np.ndarray  # (|a|, |tau|)
+
+    def __post_init__(self):
+        check_member(self.loss_kind, LossKind, "loss kind")
+        check_member(self.mode, DiscrepancyMode, "discrepancy mode")
+        a = read_array(self.a_values, "a values", shape=(None,))
+        tau = read_array(self.tau_values, "tau values", shape=(None,))
+        for name in ("loss", "c_gt"):
+            read_array(getattr(self, name), name, shape=a.shape + tau.shape)
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,9 @@ def loss_surface(kind: LossKind, a_values=None, tau_values=None,
     tau_values = default_tau_grid() if tau_values is None else read_array(
         tau_values, "tau values", shape=(None,))
     if a_values.size == 0 or tau_values.size == 0:
-        raise DomainError("loss surface needs at least one a value and one tau value")
+        raise InvalidInputError("loss surface needs at least one a value and one tau value")
     if np.any(a_values >= SURFACE_TEMPLATE[0]):
-        raise DomainError("ground-truth logit a must stay below 2.0 (sample must stay wrong)")
+        raise InvalidInputError("ground-truth logit a must stay below 2.0 (sample must stay wrong)")
 
     # One row per (a, tau) grid point, a-major, each with its own temperature.
     n_a, n_tau = a_values.size, tau_values.size
@@ -109,7 +117,7 @@ def wrongness_experiment(train_set: Dataset, test_set: Dataset, config: TrainCon
     ``train_correct`` correct records, evaluating on the full test set.
     """
     if vary not in ("test", "train"):
-        raise DomainError(f"vary must be 'test' or 'train', got {vary!r}")
+        raise InvalidInputError(f"vary must be 'test' or 'train', got {vary!r}")
     bands = read_array(bands, "bands", shape=(None, 2))
     trained_on = [train_set] if vary == "test" else [
         craft_wrongness_set(train_set, low, high, train_wrong, n_correct=train_correct)

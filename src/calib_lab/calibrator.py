@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor_math
-from .errors import DomainError, InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
 from .tensor_math import (check_count, check_integers, check_member, check_real, map_row_blocks,
@@ -61,11 +61,11 @@ def layer_keys(depth: int) -> tuple[tuple[str, str], ...]:
 def layer_widths(n_transforms: int, k: int, depth: int) -> tuple[int, ...]:
     """Widths of a ``depth``-layer net, input to output: M*k, 5 per hidden layer, 1."""
     for key, value in (("M", n_transforms), ("k", k)):
-        check_count(value, f"parameter field {key!r}", 1, error=InvalidInputError)
+        check_count(value, f"parameter field {key!r}", 1)
     return (n_transforms * k,) + (HIDDEN_WIDTH,) * (depth - 1) + (1,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibratorParams:
     """Weights of the temperature network plus gather/shape metadata.
 
@@ -82,16 +82,15 @@ class CalibratorParams:
 
     def __post_init__(self):
         keys = layer_keys(len(self.layers))
-        check_count(self.n_classes, "parameter field 'C'", 2, error=InvalidInputError)
+        check_count(self.n_classes, "parameter field 'C'", 2)
         widths = layer_widths(self.n_transforms, self.k, len(keys))
-        check_count(self.k, "parameter field 'k'", 1, self.n_classes, InvalidInputError)
+        check_count(self.k, "parameter field 'k'", 1, self.n_classes)
         # Copy before freezing so caller-owned arrays keep their flags.
         layers = tuple((_weights(w_key, w, (fan_out, fan_in)), _weights(b_key, b, (fan_out,)))
                        for (w_key, b_key), (w, b), fan_in, fan_out
                        in zip(keys, self.layers, widths, widths[1:]))
         tau_min = float(read_array(self.tau_min, "parameter field 'tau_min'", shape=()))
-        object.__setattr__(self, "tau_min", check_real(tau_min, "tau_min", 0.0, TAU_MIN_MAX,
-                                                       error=InvalidInputError))
+        object.__setattr__(self, "tau_min", check_real(tau_min, "tau_min", 0.0, TAU_MIN_MAX))
         object.__setattr__(self, "layers", layers)
 
     @property
@@ -138,7 +137,7 @@ class TrainConfig:
         check_real(self.tau_min, "tau_min", 0.0, TAU_MIN_MAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingTrace:
     """Full-training-set loss at each of ``epochs`` (by default, entry i at epoch i);
     epoch 0 is the initial loss. A run without the trace keeps only the initial and the
@@ -190,7 +189,7 @@ def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
     """Raw features as a float64 (n, M*k) matrix, or (R, n, M*k) for a stack."""
     F = read_array(F, "features", finite=finite)
     if F.ndim != p.layers[0][0].ndim or F.shape[-1] != p.input_width:
-        raise DomainError(f"features must have shape (n, {p.input_width}), got {F.shape}")
+        raise InvalidInputError(f"features must have shape (n, {p.input_width}), got {F.shape}")
     return F
 
 
@@ -199,7 +198,7 @@ def forward_batch(p: CalibratorParams, F) -> np.ndarray:
     one row block at a time. BLAS rounds a matmul of a few rows differently from
     a long one, so a short block is padded with zero rows to ``ROW_BLOCK`` and
     every row goes through a call of one shape. Only the block's own rows are
-    kept and checked: features that overflow the network raise DomainError."""
+    kept and checked: features that overflow the network raise InvalidInputError."""
     F = _read_features(p, F, finite=True)
 
     def block(rows):
@@ -211,14 +210,14 @@ def forward_batch(p: CalibratorParams, F) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         taus = map_row_blocks(block, len(F))
     if not np.all(np.isfinite(taus)):
-        raise DomainError("temperatures must be finite and > 0")
+        raise InvalidInputError("temperatures must be finite and > 0")
     return taus
 
 
 def calibrate_dataset(p: CalibratorParams, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-record temperatures and calibrated confidences for a dataset."""
     if d.n_classes != p.n_classes or d.n_transforms != p.n_transforms:
-        raise DomainError(
+        raise InvalidInputError(
             f"dataset (C={d.n_classes}, M={d.n_transforms}) does not match calibrator "
             f"(C={p.n_classes}, M={p.n_transforms})")
     taus = forward_batch(p, feature_matrix(d, p.k))
@@ -248,7 +247,7 @@ def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nd
     F = _read_features(p, F)
     n = F.shape[-2]
     if n == 0:
-        raise DomainError("batch must be non-empty")
+        raise InvalidInputError("batch must be non-empty")
     inputs, o, tau = _forward_trace(p, F)
     # g: d(loss)/d(pre-activation) of the current layer, (..., n, fan_out).
     g = (dloss_dtau_batch(Z, labels, tau, kind, mode) * sigmoid(o))[..., None]
@@ -358,9 +357,9 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     datasets = list(datasets)
     shapes = {(d.n, d.n_classes, d.n_transforms) for d in datasets}
     if len(shapes) != 1:
-        raise DomainError(f"a stack needs datasets of one (n, C, M) shape, got {sorted(shapes)}")
+        raise InvalidInputError(
+            f"a stack needs datasets of one (n, C, M) shape, got {sorted(shapes)}")
     ((n, n_classes, n_transforms),) = shapes
-    check_count(config.k, "k", 1, n_classes)
     F = np.stack([feature_matrix(d, config.k) for d in datasets])
     data = LogitBatch.stack([d.logits for d in datasets], [d.labels for d in datasets])
 
@@ -375,27 +374,25 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     step = 0
     rng = np.random.default_rng(config.seed + 1)
 
-    def diverged(epoch: int, values: np.ndarray, exc=None) -> TrainingDivergedError:
-        """The error naming the first model with a non-finite entry in its row of ``values``."""
-        r = int(np.argmin(np.isfinite(values).reshape(len(datasets), -1).all(axis=1)))
-        return TrainingDivergedError(epoch, f"model {r} of {len(datasets)} diverged at epoch "
-                                            f"{epoch}" + (f": {exc}" if exc else ""))
+    def finite(epoch: int, values: np.ndarray, exc=None) -> np.ndarray:
+        """``values``, unless some model's row of them holds a non-finite entry: then the
+        error naming the first such model, with ``exc``, the reason, appended."""
+        ok = np.isfinite(values).reshape(len(datasets), -1).all(axis=1)
+        if ok.all():
+            return values
+        raise TrainingDivergedError(epoch, f"model {np.argmin(ok)} of {len(datasets)} diverged "
+                                           f"at epoch {epoch}" + (f": {exc}" if exc else ""))
 
     def run(fn, epoch: int, features: np.ndarray, batch: LogitBatch):
         try:
             return fn(net, features, batch, None, config.loss, config.mode)
-        except (DomainError, InvalidInputError) as exc:
+        except InvalidInputError as exc:
             # Inputs were validated up front, so a non-finite temperature
             # or parameter mid-run means the optimization blew up.
-            raise diverged(epoch, _forward_trace(net, features)[2], exc) from exc
+            finite(epoch, _forward_trace(net, features)[2], exc)
+            raise
 
-    def full_loss(epoch: int) -> np.ndarray:
-        values = run(batch_loss, epoch, F, data)
-        if not np.all(np.isfinite(values)):
-            raise diverged(epoch, values)
-        return values
-
-    losses, epochs = [full_loss(0)], [0]
+    losses, epochs = [finite(0, run(batch_loss, 0, F, data))], [0]
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -419,16 +416,14 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
             update /= denom
             update *= config.learning_rate
             theta -= update
-            if not np.all(np.isfinite(theta)):
-                raise diverged(epoch, theta)
+            finite(epoch, theta)
         # An overflowed g * g leaves theta finite but stops Adam moving those weights.
-        if not np.all(np.isfinite(adam_v)):
-            raise diverged(epoch, adam_v)
+        finite(epoch, adam_v)
         if trace or epoch == config.epochs:
-            losses.append(full_loss(epoch))
+            losses.append(finite(epoch, run(batch_loss, epoch, F, data)))
             epochs.append(epoch)
-        elif not np.all(np.isfinite(taus := _forward_trace(net, F)[2])):
-            raise diverged(epoch, taus, "temperatures must be finite and > 0")
+        else:
+            finite(epoch, _forward_trace(net, F)[2], "temperatures must be finite and > 0")
 
     losses = np.stack(losses)
     return [(p, TrainingTrace(losses[:, r], epochs)) for r, p in enumerate(net.params())]

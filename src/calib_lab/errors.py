@@ -6,16 +6,12 @@ class CalibrationError(Exception):
 
 
 class InvalidInputError(CalibrationError, ValueError):
-    """Raised on malformed inputs (non-finite values, bad shapes). A
-    per-record check names the first bad ``row`` (0-based) and ``field``."""
+    """Raised on a bad argument: its type, shape, range or name. A per-record
+    check names the first bad ``row`` (0-based) and ``field``."""
 
     def __init__(self, message: str, *, row: int | None = None, field: str | None = None):
         self.reason, self.row, self.field = message, row, field
         super().__init__(message if row is None else f"row {row}: {message} (field: {field})")
-
-
-class DomainError(CalibrationError, ValueError):
-    """Raised when arguments fall outside an operation's domain."""
 
 
 class DatasetFormatError(CalibrationError, ValueError):

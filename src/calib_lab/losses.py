@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 from .tensor_math import (PROB_FLOOR, check_count, check_integers, check_logits, check_member,
                           check_pair, check_real, exp_rows, predicted_labels, map_row_blocks,
                           row_sums, shift_rows, stable_order, tau_column)
@@ -107,7 +107,7 @@ def decompose(confidences, correct, pairing: str = "lowest",
     """
     confidences, correct = check_pair(confidences, correct)
     if pairing not in ("lowest", "random"):
-        raise DomainError(f"unknown pairing {pairing!r}")
+        raise InvalidInputError(f"unknown pairing {pairing!r}")
 
     rho = float(np.mean(correct))
     wrong_conf = confidences[~correct]

@@ -91,7 +91,7 @@ class Dataset:
                        self.transform_probs[indices], self.record_ids[indices], _owned=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectnessView:
     """Per-record prediction, correctness flag, and uncalibrated confidence."""
 
@@ -102,10 +102,6 @@ class CorrectnessView:
     def __post_init__(self):
         for arr in (self.predicted, self.correct, self.confidence):
             arr.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.predicted.shape[0]
 
     @property
     def accuracy(self) -> float:

@@ -25,7 +25,7 @@ import numbers
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 
 # Floor applied to probabilities before any logarithm downstream.
 PROB_FLOOR = 1e-12
@@ -87,21 +87,21 @@ def check_integers(values, name: str, shape: tuple | None = None) -> np.ndarray:
     return read_array(values, name, "iu", shape=shape).astype(np.int64, copy=False)
 
 
-def check_count(value, name: str, low: int, high: int = 2 ** 63 - 1, error=DomainError) -> None:
-    """Raise ``error`` unless ``value`` is an integer, not a bool, in [``low``, ``high``]."""
+def check_count(value, name: str, low: int, high: int = 2 ** 63 - 1) -> None:
+    """InvalidInputError unless ``value`` is an integer, not a bool, in [``low``, ``high``]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or not low <= value <= high:
-        raise error(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        raise InvalidInputError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
-def check_real(value, name: str, low: float, high: float = np.inf, *, closed: bool = False,
-               error=DomainError) -> float:
-    """``value`` read by :func:`read_array` as a float; ``error`` unless it is finite,
+def check_real(value, name: str, low: float, high: float = np.inf, *,
+               closed: bool = False) -> float:
+    """``value`` read by :func:`read_array` as a float; InvalidInputError unless it is finite,
     above ``low`` (or equal to it if ``closed``) and at most ``high``."""
     v = float(read_array(value, name, shape=()))
     if not (np.isfinite(v) and (low <= v if closed else low < v) and v <= high):
         bound = f"{'>=' if closed else '>'} {low:g}" + (f" and <= {high:g}" if high < np.inf else "")
-        raise error(f"{name} must be finite and {bound}, got {value!r}")
+        raise InvalidInputError(f"{name} must be finite and {bound}, got {value!r}")
     return v
 
 
@@ -125,10 +125,10 @@ def check_pair(confidences, correct) -> tuple[np.ndarray, np.ndarray]:
     if confidences.ndim != 1 or confidences.shape != correct.shape:
         raise InvalidInputError("confidences and correctness must be equal-length 1-D vectors")
     if confidences.size == 0:
-        raise DomainError("batch must be non-empty")
+        raise InvalidInputError("batch must be non-empty")
     # The comparisons are False for NaN, so this also rejects non-finite values.
     if not np.all((confidences > 0.0) & (confidences <= 1.0)):
-        raise DomainError("confidences must lie in (0, 1]")
+        raise InvalidInputError("confidences must lie in (0, 1]")
     return confidences, correct
 
 
@@ -148,7 +148,7 @@ def tau_column(taus, rows: tuple) -> np.ndarray:
     shaped like ``rows``, becomes a column of shape ``rows + (1,)``."""
     taus = read_array(taus, "temperatures")
     if not np.all(np.isfinite(taus) & (taus > 0)):
-        raise DomainError("temperatures must be finite and > 0")
+        raise InvalidInputError("temperatures must be finite and > 0")
     if taus.ndim and taus.shape == rows:
         return taus[..., None]
     if taus.ndim != 0:

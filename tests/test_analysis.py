@@ -8,7 +8,7 @@ from calib_lab.analysis import (DEFAULT_BANDS, SURFACE_TEMPLATE, BandRow, defaul
 from calib_lab import analysis
 from calib_lab.calibrator import TrainConfig, calibrate_dataset, train, train_stack
 from calib_lab.datagen import SynthConfig, craft_wrongness_set, generate
-from calib_lab.errors import DomainError, InvalidInputError, ShortfallError, UndefinedMetricError
+from calib_lab.errors import InvalidInputError, ShortfallError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, LossKind, loss_values
 from calib_lab.metrics import DEFAULT_BINS, auroc, ece, ks_error
 from calib_lab.records import correctness_view
@@ -19,9 +19,9 @@ SQ = DiscrepancyMode.SQUARED_L2
 
 
 def test_surface_rejects_bad_grids():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         loss_surface(LossKind.CA, a_values=[0.0, 2.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         loss_surface(LossKind.CA, tau_values=[0.5, 0.0])
 
 
@@ -207,10 +207,10 @@ def test_k_sweep_improves_ks_on_informative_fixture(small_pools):
 
 def test_k_sweep_rejects_k_above_class_count(small_pools):
     train_set, test_set = small_pools
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         k_sweep(train_set, test_set, [train_set.n_classes + 1], TrainConfig(epochs=1))
     # k = 2.5 was once trained as k = 2 and written as a row with k = 2.
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         k_sweep(train_set, test_set, [2.5], TrainConfig(epochs=1))
 
 

@@ -5,7 +5,7 @@ from calib_lab import baselines
 from calib_lab.baselines import (TAU_GRID_HI, TAU_GRID_LO, GlobalTemp, apply_global,
                                  fit_global_temperature, nll_objective)
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError
+from calib_lab.errors import InvalidInputError
 from calib_lab.metrics import auroc
 from calib_lab.records import Dataset, correctness_view
 from calib_lab.tensor_math import row_softmax
@@ -137,7 +137,7 @@ def test_adaptive_temperature_can_change_auroc():
 
 
 def test_global_temp_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         GlobalTemp(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         GlobalTemp(-2.0)

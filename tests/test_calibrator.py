@@ -10,7 +10,7 @@ from calib_lab.calibrator import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, TAU_MIN_MAX,
                                   constant_temperature_params, feature_matrix, forward_batch,
                                   grad_params, init_params, train, train_stack)
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError, InvalidInputError, TrainingDivergedError
+from calib_lab.errors import InvalidInputError, TrainingDivergedError
 from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch,
                               loss_values)
 from calib_lab.metrics import ece
@@ -65,9 +65,9 @@ def test_feature_matrix_matches_per_record():
 
 def test_feature_matrix_rejects_large_k():
     d = generate(SynthConfig(n=5, seed=8))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         feature_matrix(d.subset([0]), d.n_classes + 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         feature_matrix(d, d.n_classes + 1)
 
 
@@ -116,7 +116,7 @@ def test_forward_matches_plain_arithmetic_oracle(two_hidden):
 
 def test_forward_rejects_dimension_mismatch():
     p = init_params(6, 2, 3, seed=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         forward_batch(p, np.zeros((1, 5)))
 
 
@@ -150,7 +150,7 @@ def test_init_params_refuses_counts_that_are_not_integers():
     for args in ((10, 3, 2.5), (10, 3.0, 2), (2.5, 3, 2)):
         with pytest.raises(InvalidInputError):
             init_params(*args)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         init_params(10, 3, 2, seed=-1)
 
 
@@ -425,30 +425,30 @@ def test_informative_features_cut_held_out_ece():
 
 def test_train_config_validation():
     d = generate(SynthConfig(n=50, seed=16))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         train(d, TrainConfig(k=d.n_classes + 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         train(d, TrainConfig(epochs=0))
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         train(d, TrainConfig(learning_rate=0.0))
     # Each of these once escaped as a bare TypeError or numpy's ValueError.
     for bad in (dict(k=2.5), dict(epochs=1.5), dict(batch_size=2.5), dict(seed=-1),
                 dict(epochs=True)):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             train(d, TrainConfig(**bad))
     # A config checks itself when it is made, and so does each replace().
     for bad in (dict(k=2.5), dict(learning_rate=np.inf), dict(tau_min=np.nan),
                 dict(tau_min=1e300)):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             TrainConfig(**bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             replace(TrainConfig(), **bad)
     # A string in place of the enum once made a config silently.
     for bad in (dict(loss="ce"), dict(mode="l1"), dict(loss="ce", mode="l1"),
                 dict(loss=DiscrepancyMode.L1)):
         with pytest.raises(InvalidInputError):
             TrainConfig(**bad)
-    with pytest.raises(DomainError, match="tau_min must be finite and > 0 and <= 1e"):
+    with pytest.raises(InvalidInputError, match="tau_min must be finite and > 0 and <= 1e"):
         TrainConfig(tau_min=TAU_MIN_MAX * 1.0001)
     with pytest.raises(InvalidInputError):
         TrainConfig(learning_rate="0.01")
@@ -517,12 +517,12 @@ def test_stack_is_bit_identical_to_training_each_model(loss, mode, two_hidden):
                                    SynthConfig(n=150, n_transforms=2, seed=24)],
                          ids=["n", "classes", "transforms"])
 def test_stack_refuses_datasets_of_unequal_shape(other):
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         train_stack([generate(SynthConfig(n=150, seed=23)), generate(other)], TrainConfig())
 
 
 def test_stack_refuses_no_datasets():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         train_stack([], TrainConfig())
 
 

@@ -19,6 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -246,6 +247,43 @@ def test_exporters_of_one_object(grid, trace):
             written = outcome(lambda: export(path, value) or True)
             assert bool(written) == isinstance(value, cls) == path.exists()
             path.unlink(missing_ok=True)
+
+
+# Value objects that hold arrays, each built twice from equal inputs.
+VALUE_OBJECTS = {
+    "CalibratorParams": lambda: cl.init_params(C, M, K, seed=0),
+    "TrainingTrace": lambda: cl.TrainingTrace([0.5, 0.25]),
+    "CorrectnessView": lambda: cl.correctness_view(DATA.subset(range(N))),
+    "SurfaceGrid": lambda: cl.loss_surface(LossKind.CA, [0.0, 1.0], [0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("build", VALUE_OBJECTS.values(), ids=VALUE_OBJECTS)
+def test_value_objects_compare_by_identity(build):
+    # Comparing two equal copies once raised on an array's truth value, and hash() raised.
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
+SURFACE_FIELDS = {"loss_kind": LossKind.CA, "mode": DiscrepancyMode.SQUARED_L2,
+                  "a_values": np.array([0.0, 1.0]), "tau_values": np.array([1.0]),
+                  "loss": np.zeros((2, 1)), "c_gt": np.zeros((2, 1))}
+
+
+@pytest.mark.parametrize("bad", [
+    # Once exported 1 data row instead of 2: zip stopped at the shortest column.
+    {"loss": np.zeros((3, 3)), "c_gt": np.zeros((1, 1))},
+    # Once failed at export with a bare AttributeError.
+    {"loss_kind": "ca"},
+    {"mode": "l1"},
+    {"a_values": np.zeros((2, 1))},
+    {"tau_values": ["a"]},
+], ids=["short-columns", "loss-kind-string", "mode-string", "2-d-grid", "string-grid"])
+def test_surface_grid_checks_itself(bad):
+    assert isinstance(cl.SurfaceGrid(**SURFACE_FIELDS), cl.SurfaceGrid)
+    with pytest.raises(cl.InvalidInputError):
+        cl.SurfaceGrid(**{**SURFACE_FIELDS, **bad})
 
 
 @SETTINGS

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calib_lab.errors import DomainError, InvalidInputError
+from calib_lab.errors import InvalidInputError
 from calib_lab.losses import (DiscrepancyMode, LogitBatch, LossKind, ca_bounds, ca_loss_batch,
                               decompose, dloss_dtau_batch, loss_values, mse_rows)
 from calib_lab.tensor_math import row_softmax
@@ -30,14 +30,14 @@ def test_ca_loss_examples():
 
 def test_ca_loss_domain():
     for bad in (0.0, -0.1, 1.2, np.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             ca_loss_batch([bad], [True], L1)
 
 
 def test_ca_loss_batch_hand_cases():
     assert ca_loss_batch([1.0, 1.0, 1.0], [True, True, True], L1) == 0.0
     assert ca_loss_batch([0.9, 0.3], [True, False], L1) == pytest.approx(0.2, abs=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ca_loss_batch([], [], L1)
 
 
@@ -58,12 +58,12 @@ def test_ca_bounds_examples():
     b = ca_bounds(0.8, 1000)
     assert b.lower == pytest.approx(0.0002, abs=1e-15)
     assert b.upper == pytest.approx(0.0002 + 0.999, abs=1e-15)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ca_bounds(1.5, 10)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ca_bounds(0.5, 1)
     # Bounds for 2.5 classes were once returned.
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ca_bounds(0.5, 2.5)
 
 
@@ -236,7 +236,7 @@ def test_a_loss_kind_or_mode_that_is_not_the_enum_is_refused():
 
 
 def test_dloss_dtau_rejects_nonpositive_tau():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         dloss_dtau_batch([[1.0, 2.0]], [0], [0.0], LossKind.CE)
 
 

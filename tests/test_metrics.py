@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from calib_lab.calibrator import constant_temperature_params, calibrate_dataset
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import DomainError, InvalidInputError, UndefinedMetricError
+from calib_lab.errors import InvalidInputError, UndefinedMetricError
 from calib_lab.losses import DiscrepancyMode, ca_loss_batch
 from calib_lab.metrics import _midranks, auroc, brier_top_label, ece, ks_error, report
 from calib_lab.records import correctness_view, wrongness_ratios
@@ -212,13 +212,13 @@ def test_metric_ranges():
 
 
 def test_ece_rejects_bad_inputs():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ece([0.0, 0.5], [True, False])
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ece([1.5, 0.5], [True, False])
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ece([0.5], [True], bins=0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         ece([0.5], [True], bins=1.5)
 
 

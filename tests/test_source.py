@@ -274,3 +274,46 @@ def test_scan_finds_an_untraced_training():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_dropped_trace_is_not_computed(path):
     assert untraced_trainings(path.read_text()) == []
+
+
+# Every raise names a class of errors.py, and every class there but the base is raised.
+BASE_ERROR = "CalibrationError"
+
+
+def stray_raises(sources: dict[str, str]) -> list[str]:
+    """``raise`` statements of the modules in ``sources`` (name -> source) that name
+    no class of ``errors``, ``raise ... from`` ones included, and the classes of
+    ``errors``, the base aside, that no module raises. A bare ``raise`` re-raises
+    what was caught and names nothing."""
+    classes = {node.name for node in ast.parse(sources["errors"]).body
+               if isinstance(node, ast.ClassDef)}
+    raised = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None)) or ast.unparse(exc)
+                raised.append((module, node.lineno, name))
+    found = [f"{module} line {line}: raises {name}" for module, line, name in sorted(raised)
+             if name not in classes]
+    unraised = classes - {name for _, _, name in raised} - {BASE_ERROR}
+    return found + [f"errors.{name} is never raised" for name in sorted(unraised)]
+
+
+def test_scan_finds_a_stray_raise():
+    sources = {"errors": "class CalibrationError(Exception):\n    pass\n\n"
+                         "class BadInput(CalibrationError):\n    pass\n\n"
+                         "class Unused(CalibrationError):\n    pass\n",
+               "a": "from . import errors\nfrom .errors import BadInput\n\n"
+                    "def f(x, error=BadInput):\n    try:\n"
+                    "        if x:\n            raise errors.BadInput('x')\n"
+                    "        raise error('y')\n"
+                    "    except BadInput as exc:\n        raise ValueError('z') from exc\n"
+                    "    except KeyError:\n        raise\n"}
+    assert stray_raises(sources) == ["a line 8: raises error", "a line 10: raises ValueError",
+                                     "errors.Unused is never raised"]
+
+
+def test_every_raise_names_an_error_class():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_raises(sources) == []

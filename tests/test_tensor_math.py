@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from calib_lab.errors import DomainError, InvalidInputError
+from calib_lab.errors import InvalidInputError
 from calib_lab.tensor_math import (predicted_labels, row_softmax, sigmoid, softplus,
                                    stable_order, top_confidence, top_k_indices)
 
@@ -52,7 +52,7 @@ def test_softmax_shift_invariance(logits, c):
 
 def test_row_softmax_rejects_bad_tau():
     for tau in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidInputError):
             row_softmax([[1.0, 2.0]], tau)
 
 
@@ -74,9 +74,9 @@ def test_top_k_of_oracle_softmax():
 
 
 def test_top_k_rejects_out_of_range_k():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         top_k_indices([0.5, 0.5], 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidInputError):
         top_k_indices([0.5, 0.5], 0)
 
 
