@@ -15,7 +15,7 @@ from .datagen import craft_wrongness_set
 from .errors import InvalidInputError
 from .losses import DiscrepancyMode, LossKind, loss_values
 from .records import Dataset
-from .tensor_math import check_member, read_array, row_softmax
+from .tensor_math import check_member, read_array, read_only, row_softmax
 
 # Four-way template with the ground truth on class 0 and the wrongly
 # predicted class fixed at logit 2.0.
@@ -36,7 +36,8 @@ def default_tau_grid() -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Loss values over the (a, tau) grid for one loss, with the
-    ground-truth softmax score recorded at each grid point."""
+    ground-truth softmax score recorded at each grid point; its arrays
+    are read-only float64 copies."""
 
     loss_kind: LossKind
     mode: DiscrepancyMode
@@ -50,8 +51,11 @@ class SurfaceGrid:
         check_member(self.mode, DiscrepancyMode, "discrepancy mode")
         a = read_array(self.a_values, "a values", shape=(None,))
         tau = read_array(self.tau_values, "tau values", shape=(None,))
-        for name in ("loss", "c_gt"):
-            read_array(getattr(self, name), name, shape=a.shape + tau.shape)
+        grid = a.shape + tau.shape
+        for name, values in (("a_values", a), ("tau_values", tau),
+                             ("loss", read_array(self.loss, "loss", shape=grid)),
+                             ("c_gt", read_array(self.c_gt, "c_gt", shape=grid))):
+            object.__setattr__(self, name, read_only(values))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ The single temperature is fitted by minimizing mean cross-entropy of
 softmax(z / tau) against the labels. Without the PROB_FLOOR clamp that
 objective, logsumexp(beta z) - beta z_y, is convex in beta = 1 / tau, so
 a Newton iteration in beta, safeguarded by bisection, finds its minimum
-over tau in [0.05, 50]. tau = 1 is always a candidate, and the two are
-compared on the floored objective, so the fit can never exceed the
-unscaled one.
+over tau in [0.05, 50]. The fit evaluates the slope at beta = 1 first:
+convexity makes the slope rise with beta, so only the bracket end on
+the downhill side of beta = 1 is probed, and the Newton iteration starts
+from that first evaluation; the iterates are those of probing both ends.
+tau = 1 is always a candidate, and the two are compared on the floored
+objective, so the fit can never exceed the unscaled one.
 """
 
 from __future__ import annotations
@@ -63,15 +66,19 @@ def fit_global_temperature(d: Dataset) -> GlobalTemp:
             return float(np.sum(mean_z - label_z)), float(np.sum(var_z))
 
     lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO
-    if derivatives(lo)[0] >= 0.0:
+    beta = 1.0
+    slope, curvature = derivatives(beta)
+    # The slope rises with beta, so only the bracket end downhill of beta = 1 can hold
+    # the minimum; a zero slope probes both ends, lo first.
+    if slope >= 0.0 and derivatives(lo)[0] >= 0.0:
         tau = TAU_GRID_HI
-    elif derivatives(hi)[0] <= 0.0:
+    elif slope <= 0.0 and derivatives(hi)[0] <= 0.0:
         tau = TAU_GRID_LO
     else:
-        beta = 1.0
         # 64 bisections alone would exhaust the float64 resolution of the bracket.
-        for _ in range(64):
-            slope, curvature = derivatives(beta)
+        for step in range(64):
+            if step:
+                slope, curvature = derivatives(beta)
             # Stop once the Newton step is below 1e-12 of beta.
             if abs(slope) <= 1e-12 * beta * curvature:
                 break

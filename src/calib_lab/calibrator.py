@@ -26,7 +26,8 @@ from .errors import InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
 from .tensor_math import (check_count, check_integers, check_member, check_real, map_row_blocks,
-                          read_array, sigmoid, softplus, top_confidence, top_k_indices)
+                          read_array, read_only, sigmoid, softplus, top_confidence,
+                          top_k_indices)
 
 HIDDEN_WIDTH = 5
 DEFAULT_TAU_MIN = 0.05
@@ -41,9 +42,7 @@ ADAM_EPS = 1e-8
 
 def _weights(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """Read-only float64 copy of a weight array, named by its parameter-file key."""
-    arr = np.array(read_array(value, f"parameter field {name!r}", shape=shape, finite=True))
-    arr.setflags(write=False)
-    return arr
+    return read_only(read_array(value, f"parameter field {name!r}", shape=shape, finite=True))
 
 
 # Parameter-file keys of each (W, b) layer, input to output; the middle
@@ -85,7 +84,6 @@ class CalibratorParams:
         check_count(self.n_classes, "parameter field 'C'", 2)
         widths = layer_widths(self.n_transforms, self.k, len(keys))
         check_count(self.k, "parameter field 'k'", 1, self.n_classes)
-        # Copy before freezing so caller-owned arrays keep their flags.
         layers = tuple((_weights(w_key, w, (fan_out, fan_in)), _weights(b_key, b, (fan_out,)))
                        for (w_key, b_key), (w, b), fan_in, fan_out
                        in zip(keys, self.layers, widths, widths[1:]))
@@ -147,12 +145,11 @@ class TrainingTrace:
     epochs: np.ndarray | None = None
 
     def __post_init__(self):
-        losses = np.array(self.losses, dtype=np.float64)
-        epochs = np.array(np.arange(losses.size) if self.epochs is None
-                          else check_integers(self.epochs, "trace epochs", losses.shape))
-        for name, values in (("losses", losses), ("epochs", epochs)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        losses = read_only(self.losses, np.float64)
+        epochs = read_only(np.arange(losses.size) if self.epochs is None
+                           else check_integers(self.epochs, "trace epochs", losses.shape))
+        object.__setattr__(self, "losses", losses)
+        object.__setattr__(self, "epochs", epochs)
 
 
 def _features(Z: np.ndarray, T: np.ndarray, k: int) -> np.ndarray:

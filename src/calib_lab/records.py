@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .tensor_math import check_integers, predicted_labels, read_array, row_softmax, top_confidence
+from .tensor_math import (check_integers, predicted_labels, read_array, read_only, row_softmax,
+                          top_confidence)
 
 # Transform softmax rows must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
@@ -42,25 +43,23 @@ def _check_values(logits: np.ndarray, labels: np.ndarray, probs: np.ndarray) -> 
 
 class Dataset:
     """Immutable collection of records sharing class count C and
-    transform count M. An ``_owned`` caller's fresh float64 arrays are frozen, not copied."""
+    transform count M. Its arrays are read-only copies; an ``_owned`` caller's fresh
+    float64 logits and transforms are frozen, not copied."""
 
     def __init__(self, logits: np.ndarray, labels: np.ndarray, transform_probs: np.ndarray,
                  record_ids: np.ndarray | None = None, *, _owned: bool = False):
-        logits = np.array(read_array(logits, "logits"), copy=not _owned)
+        logits = read_only(read_array(logits, "logits"), copy=not _owned)
         if logits.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] < 2:
             raise InvalidInputError(f"logits must be (n, C) with n >= 1, C >= 2, got {logits.shape}")
         n, c = logits.shape
-        # Copies: the dataset freezes its arrays, and the caller's stay writable.
-        labels = np.array(check_integers(labels, "labels", (n,)))
-        probs = np.array(read_array(transform_probs, "transform_probs"), copy=not _owned)
+        labels = read_only(check_integers(labels, "labels", (n,)))
+        probs = read_only(read_array(transform_probs, "transform_probs"), copy=not _owned)
         if probs.ndim != 3 or probs.shape != (n, probs.shape[1], c) or probs.shape[1] < 1:
             raise InvalidInputError(
                 f"transform_probs must have shape ({n}, M, {c}) with M >= 1, got {probs.shape}")
         _check_values(logits, labels, probs)
-        record_ids = (np.arange(n, dtype=np.int64) if record_ids is None
-                      else np.array(check_integers(record_ids, "record_ids", (n,))))
-        for arr in (logits, labels, probs, record_ids):
-            arr.setflags(write=False)
+        record_ids = (read_only(np.arange(n, dtype=np.int64), copy=False) if record_ids is None
+                      else read_only(check_integers(record_ids, "record_ids", (n,))))
         self.logits = logits
         self.labels = labels
         self.transform_probs = probs
@@ -100,8 +99,8 @@ class CorrectnessView:
     confidence: np.ndarray  # (n,) max softmax score, uncalibrated
 
     def __post_init__(self):
-        for arr in (self.predicted, self.correct, self.confidence):
-            arr.setflags(write=False)
+        for name in ("predicted", "correct", "confidence"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def accuracy(self) -> float:
@@ -115,7 +114,7 @@ def correctness_view(d: Dataset) -> CorrectnessView:
     dataset; both are read-only, so later calls return the same view."""
     if d._view is None:
         predicted = predicted_labels(d.logits)
-        d._view = CorrectnessView(predicted.astype(np.int64), predicted == d.labels,
+        d._view = CorrectnessView(predicted.astype(np.int64, copy=False), predicted == d.labels,
                                   top_confidence(d.logits))
     return d._view
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calib_lab import baselines
 from calib_lab.baselines import (TAU_GRID_HI, TAU_GRID_LO, GlobalTemp, apply_global,
@@ -8,7 +10,7 @@ from calib_lab.datagen import SynthConfig, generate
 from calib_lab.errors import InvalidInputError
 from calib_lab.metrics import auroc
 from calib_lab.records import Dataset, correctness_view
-from calib_lab.tensor_math import row_softmax
+from calib_lab.tensor_math import row_blocks, row_softmax, row_sums
 
 
 def well_specified_dataset(n=20000, c=6, scale=2.0, seed=0):
@@ -141,3 +143,116 @@ def test_global_temp_validation():
         GlobalTemp(0.0)
     with pytest.raises(InvalidInputError):
         GlobalTemp(-2.0)
+
+
+# --- the downhill-end probe against the fit it replaced ---
+
+def two_probe_fit(d: Dataset) -> float:
+    """The global-TS fit as it was before the downhill-end probe, kept as the
+    reference: both bracket ends are probed first, then Newton starts afresh
+    at beta = 1. Its derivative passes call ``baselines.row_sums``, so a patch
+    there counts them."""
+    with np.errstate(over="ignore"):
+        shifted = d.logits - d.logits.max(axis=1, keepdims=True)
+    np.maximum(shifted, -np.finfo(float).max, out=shifted)
+    label_z = shifted[np.arange(d.n), d.labels]
+    blocks = row_blocks(d.n)
+    buf = np.empty((blocks[0].stop, d.n_classes))
+
+    def derivatives(beta):
+        mean_z, var_z = np.empty(d.n), np.empty(d.n)
+        with np.errstate(over="ignore"):
+            for rows in blocks:
+                S = shifted[rows]
+                E = buf[:len(S)]
+                np.exp(np.multiply(S, beta, out=E), out=E)
+                total = baselines.row_sums(E)
+                mean = np.divide(baselines.row_sums(E, S), total, out=mean_z[rows])
+                np.multiply(E, S, out=E)
+                np.subtract(baselines.row_sums(E, S) / total, mean * mean, out=var_z[rows])
+            return float(np.sum(mean_z - label_z)), float(np.sum(var_z))
+
+    lo, hi = 1.0 / TAU_GRID_HI, 1.0 / TAU_GRID_LO
+    if derivatives(lo)[0] >= 0.0:
+        tau = TAU_GRID_HI
+    elif derivatives(hi)[0] <= 0.0:
+        tau = TAU_GRID_LO
+    else:
+        beta = 1.0
+        for _ in range(64):
+            slope, curvature = derivatives(beta)
+            if abs(slope) <= 1e-12 * beta * curvature:
+                break
+            if slope > 0.0:
+                hi = beta
+            else:
+                lo = beta
+            if curvature > 0.0 and lo < beta - slope / curvature < hi:
+                beta -= slope / curvature
+            else:
+                beta = 0.5 * (lo + hi)
+        tau = 1.0 / beta
+    return tau if nll_objective(d, tau) < nll_objective(d, 1.0) else 1.0
+
+
+def labelled_dataset(seed, n, c, scale, rule):
+    """Normal logits of ``scale`` with labels by ``rule``: drawn from the softmax
+    at temperature ``scale`` (an interior minimum), the argmax (every record
+    right: the minimum lies below tau = 0.05), the argmin (every record wrong:
+    beyond tau = 50), or half argmax and half drawn from the flat softmax."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, scale, (n, c))
+    if rule == "softmax":
+        cum = np.cumsum(row_softmax(logits, scale), axis=1)
+        labels = np.minimum((cum < rng.random(n)[:, None]).sum(axis=1), c - 1)
+    elif rule == "argmax":
+        labels = np.argmax(logits, axis=1)
+    elif rule == "argmin":
+        labels = np.argmin(logits, axis=1)
+    else:
+        labels = np.where(np.arange(n) % 2, np.argmax(logits, axis=1), rng.integers(0, c, n))
+    return Dataset(logits, labels, np.full((n, 1, c), 1.0 / c))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 400), c=st.sampled_from([2, 3, 10, 40]),
+       scale=st.floats(0.05, 30.0), rule=st.sampled_from(["softmax", "argmax", "argmin", "mixed"]))
+def test_fit_equals_the_two_probe_fit_bit_for_bit(seed, n, c, scale, rule):
+    d = labelled_dataset(seed, n, c, scale, rule)
+    assert fit_global_temperature(d).tau.hex() == two_probe_fit(d).hex()
+
+
+@pytest.mark.parametrize("rule, tau", [("argmax", TAU_GRID_LO), ("argmin", TAU_GRID_HI)])
+def test_fit_equals_the_two_probe_fit_beyond_the_bracket(rule, tau):
+    d = labelled_dataset(3, 500, 5, 2.0, rule)
+    assert fit_global_temperature(d).tau == two_probe_fit(d) == tau
+
+
+@pytest.mark.parametrize("make", [
+    # Labels drawn from softmax(z): the slope at tau = 1 is sampling noise.
+    lambda: well_specified_dataset(n=20000, seed=3),
+    lambda: well_specified_dataset(n=50, c=2, scale=0.01, seed=4),
+    # Equal logits in every row: the slope is exactly 0 at every temperature.
+    lambda: Dataset(np.ones((30, 4)), np.arange(30) % 4, np.full((30, 1, 4), 0.25)),
+    # Right with margin 800: the slope is exactly 0 from tau = 1 down, not above.
+    lambda: Dataset(np.tile([0.0, -800.0, -800.0], (10, 1)), np.zeros(10, int),
+                    np.full((10, 1, 3), 1.0 / 3)),
+], ids=["well-specified", "flat-logits", "all-equal", "zero-slope-below-one"])
+def test_fit_equals_the_two_probe_fit_where_the_slope_at_one_is_near_zero(make):
+    d = make()
+    assert fit_global_temperature(d).tau.hex() == two_probe_fit(d).hex()
+
+
+def test_interior_fit_takes_seven_derivative_passes_against_eight(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return row_sums(*args)
+
+    monkeypatch.setattr(baselines, "row_sums", counting)
+    d = generate(SynthConfig(n=2000, seed=0))  # one row block: 3 row sums per pass
+    tau = fit_global_temperature(d).tau
+    assert TAU_GRID_LO < tau < TAU_GRID_HI and len(calls) == 3 * 7
+    calls.clear()
+    assert two_probe_fit(d) == tau and len(calls) == 3 * 8

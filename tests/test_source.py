@@ -177,16 +177,17 @@ def test_raw_input_checks_live_in_tensor_math(path):
     assert stray_checks(path.read_text()) == []
 
 
-# Row sums over classes and stable orders of a vector go through the tensor_math kernels.
-# top_k_indices is scanned too: it takes k argmax passes, whose first-maximum rule gives
-# ties in index order, so it needs no stable sort.
+# Row sums and row maxima over classes and stable orders of a vector go through the
+# tensor_math kernels. top_k_indices is scanned too: it takes k argmax passes, whose
+# first-maximum rule gives ties in index order, so it needs no stable sort.
 KERNEL_MODULES = ["tensor_math", "losses", "baselines", "metrics"]
-KERNELS = {"row_sums", "stable_order"}
+KERNELS = {"row_sums", "row_max", "stable_order"}
 
 
 def bypassed_kernels(source: str) -> list[str]:
     """Calls outside the functions in KERNELS that sum rows (``.sum`` or ``np.sum``
-    with axis 1 or -1) or sort stably (``kind="stable"`` or ``"mergesort"``)."""
+    with axis 1 or -1), take a row max (``.max``, ``np.max`` or ``np.amax`` with
+    axis 1 or -1) or sort stably (``kind="stable"`` or ``"mergesort"``)."""
     tree = ast.parse(source)
     inside = {id(node) for fn in ast.walk(tree)
               if isinstance(fn, ast.FunctionDef) and fn.name in KERNELS for node in ast.walk(fn)}
@@ -198,6 +199,8 @@ def bypassed_kernels(source: str) -> list[str]:
         keywords = {k.arg: _literal(k.value) for k in node.keywords}
         if node.func.attr == "sum" and keywords.get("axis") in (1, -1):
             found.append((node.lineno, "row sum"))
+        if node.func.attr in ("max", "amax") and keywords.get("axis") in (1, -1):
+            found.append((node.lineno, "row max"))
         if keywords.get("kind") in ("stable", "mergesort"):
             found.append((node.lineno, "stable sort"))
     return [f"line {line}: {what}" for line, what in sorted(found)]
@@ -208,9 +211,14 @@ def test_scan_finds_a_bypassed_kernel():
               "def row_sums(A):\n    return A.sum(axis=1)\n"
               "def f(A, v):\n    a = A.sum(axis=1) + np.sum(A * A, axis=-1)\n"
               "    b = np.argsort(v, kind='stable')\n"
-              "    return A.sum(axis=0), np.sum(v), np.argsort(v), np.sort(v, kind='mergesort')\n")
+              "    return A.sum(axis=0), np.sum(v), np.argsort(v), np.sort(v, kind='mergesort')\n"
+              "def row_max(A):\n    return A.max(axis=-1)\n"
+              "def g(A, v):\n    m = A.max(axis=1, keepdims=True) - np.max(A, axis=-1)\n"
+              "    return m + np.amax(A, axis=1), A.max(axis=0), np.max(v), A.argmax(axis=1)\n")
     assert bypassed_kernels(source) == ["line 5: row sum", "line 5: row sum",
-                                        "line 6: stable sort", "line 7: stable sort"]
+                                        "line 6: stable sort", "line 7: stable sort",
+                                        "line 11: row max", "line 11: row max",
+                                        "line 12: row max"]
 
 
 @pytest.mark.parametrize("module", KERNEL_MODULES)
