@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import tensor_math
 from .errors import InvalidInputError, TrainingDivergedError
 from .losses import DiscrepancyMode, LogitBatch, LossKind, dloss_dtau_batch, loss_values
 from .records import Dataset
@@ -145,7 +144,7 @@ class TrainingTrace:
     epochs: np.ndarray | None = None
 
     def __post_init__(self):
-        losses = read_only(self.losses, np.float64)
+        losses = read_only(read_array(self.losses, "trace losses", shape=(None,)))
         epochs = read_only(np.arange(losses.size) if self.epochs is None
                            else check_integers(self.epochs, "trace epochs", losses.shape))
         object.__setattr__(self, "losses", losses)
@@ -192,18 +191,18 @@ def _read_features(p: CalibratorParams, F, finite: bool = False) -> np.ndarray:
 
 def forward_batch(p: CalibratorParams, F) -> np.ndarray:
     """Temperatures for one model's finite (n, M*k) feature matrix, shape (n,),
-    one row block at a time. BLAS rounds a matmul of a few rows differently from
-    a long one, so a short block is padded with zero rows to ``ROW_BLOCK`` and
-    every row goes through a call of one shape. Only the block's own rows are
-    kept and checked: features that overflow the network raise InvalidInputError."""
+    one row block at a time. Each layer is a plain ``einsum``, not BLAS: it sums a row's
+    products in one order whatever rows share the call, so a row's temperature is that
+    of the row alone. Features that overflow the network raise InvalidInputError."""
     F = _read_features(p, F, finite=True)
 
     def block(rows):
-        part = F[rows]
-        n = len(part)
-        if n < tensor_math.ROW_BLOCK:
-            part = np.pad(part, [(0, tensor_math.ROW_BLOCK - n), (0, 0)])
-        return _forward_trace(p, part)[2][:n]
+        h = np.ascontiguousarray(F[rows])  # einsum's summation order follows the layout
+        for i, (w, b) in enumerate(p.layers):
+            if i:
+                np.maximum(h, 0.0, out=h)  # the hidden layer's ReLU, in place
+            h = np.einsum("nj,oj->no", h, w) + b
+        return softplus(h[:, 0]) + p.tau_min
     with np.errstate(over="ignore", invalid="ignore"):
         taus = map_row_blocks(block, len(F))
     if not np.all(np.isfinite(taus)):

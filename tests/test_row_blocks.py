@@ -56,8 +56,8 @@ def full():
 
 @pytest.fixture
 def whole(monkeypatch):
-    """Calls ``fn`` with every row in one block: the forward pads a short
-    block to ``ROW_BLOCK`` rows, so the block is 4 * B, not unbounded."""
+    """Calls ``fn`` with every row in one block of 4 * B rows, more than any
+    size in ``SIZES``."""
     def run(fn, *args):
         with monkeypatch.context() as m:
             m.setattr(tensor_math, "ROW_BLOCK", 4 * B)
@@ -153,6 +153,14 @@ def test_a_record_scores_the_same_alone_in_chunks_and_from_an_offset_view(networ
         scores_as_in_the_pool(pool.subset([start + i]), start + i)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_a_record_scores_the_same_whatever_the_feature_layout(networks, layout):
+    for pool, p, taus, _ in networks:
+        F = feature_matrix(pool, p.k)
+        F = np.asfortranarray(F) if layout == "fortran" else np.repeat(F, 2, axis=0)[::2]
+        assert same_bits(forward_batch(p, F), taus)
+
+
 def unblocked_generate(cfg: SynthConfig):
     """The generator as it was before it drew its Dirichlet vectors per row
     block: one draw over all rows per channel. Logits, labels, transforms."""
@@ -233,6 +241,16 @@ def test_scoring_holds_the_features_and_block_sized_temporaries(large):
     _, d = large
     p = randomised(init_params(10, 3, 4, seed=0), 0)
     assert peak(calibrate_dataset, p, d) <= 1.7 * d.logits.nbytes
+
+
+@pytest.mark.parametrize("two_hidden", [False, True])
+def test_scoring_one_record_holds_one_row(large, two_hidden):
+    _, d = large
+    one = d.subset([0])
+    p = randomised(init_params(10, 3, 4, seed=0, two_hidden=two_hidden), 0)
+    F = feature_matrix(one, 4)
+    assert peak(forward_batch, p, F) <= 64 * 1024
+    assert peak(calibrate_dataset, p, one) <= 64 * 1024
 
 
 def test_global_temperature_fit_holds_one_shifted_matrix(large):

@@ -325,3 +325,54 @@ def test_scan_finds_a_stray_raise():
 def test_every_raise_names_an_error_class():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert stray_raises(sources) == []
+
+
+# Scoring makes no BLAS call, whose rounding of a row may depend on the rows beside it, and
+# does not run the trainer's forward: a record's temperature is that of the record alone.
+SCORERS = {"forward_batch", "calibrate_dataset", "feature_matrix"}
+BLAS_OR_TRAINER_CALLS = {"matmul", "dot", "tensordot", "_forward_trace", "grad_params"}
+
+
+def blas_in_scoring(source: str) -> list[str]:
+    """BLAS products (``np.matmul``, ``np.dot``, ``np.tensordot``, ``@`` or an ``einsum``
+    with ``optimize``) and calls of ``_forward_trace`` or ``grad_params`` in the functions
+    of SCORERS or in any top-level function of ``source`` they call by name."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    todo, seen = [name for name in SCORERS if name in functions], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo += [n.func.id for n in ast.walk(functions[name]) if isinstance(n, ast.Call)
+                     and isinstance(n.func, ast.Name) and n.func.id in functions]
+    found = set()
+    for name in seen:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.add((node.lineno, "@"))
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called in BLAS_OR_TRAINER_CALLS or called == "einsum" and any(
+                    k.arg == "optimize" and _literal(k.value) is not False for k in node.keywords):
+                found.add((node.lineno, called))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scan_finds_blas_in_scoring():
+    source = ("import numpy as np\n"
+              "def forward_batch(p, F):\n    return _layer(F, p.w) + F @ p.w.T\n"
+              "def _layer(h, w):\n    return np.einsum('nj,oj->no', h, w, optimize=True)\n"
+              "def calibrate_dataset(p, d):\n    h = d.F\n    h @= p.w\n"
+              "    return _forward_trace(p, h), np.tensordot(h, p.w, 1)\n"
+              "def feature_matrix(d, k):\n"
+              "    return d.F.dot(d.w), np.einsum('ij->i', d.F, optimize=False)\n"
+              "def train(p, F):\n    return np.matmul(F, p.w), grad_params(p, F)\n")
+    assert blas_in_scoring(source) == ["line 3: @", "line 5: einsum", "line 8: @",
+                                       "line 9: _forward_trace", "line 9: tensordot",
+                                       "line 11: dot"]
+
+
+def test_scoring_makes_no_blas_call():
+    assert blas_in_scoring((SRC / "calibrator.py").read_text()) == []

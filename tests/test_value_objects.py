@@ -7,6 +7,7 @@ import pytest
 
 from calib_lab.analysis import SurfaceGrid, loss_surface
 from calib_lab.calibrator import CalibratorParams, TrainingTrace
+from calib_lab.errors import InvalidInputError
 from calib_lab.losses import DiscrepancyMode, LossKind
 from calib_lab.records import CorrectnessView, Dataset
 
@@ -78,3 +79,10 @@ def test_an_owned_dataset_freezes_its_fresh_arrays_in_place():
     d = Dataset(logits, np.zeros(N, int), probs, _owned=True)
     assert d.logits is logits or d.logits.base is logits
     assert not logits.flags.writeable and not probs.flags.writeable
+
+
+@pytest.mark.parametrize("losses", [["a"], ["1.5", "2"], 0.5, [[0.5, 0.25], [0.125, 0.0625]]],
+                         ids=["string", "numeric-strings", "scalar", "2-d"])
+def test_a_trace_refuses_losses_that_are_not_a_vector_of_numbers(losses):
+    with pytest.raises(InvalidInputError, match="trace losses"):
+        TrainingTrace(losses)
