@@ -1,4 +1,4 @@
-"""Global temperature scaling and the uncalibrated pass-through.
+"""Global temperature scaling: one fitted temperature for every record.
 
 The single temperature is fitted by minimizing mean cross-entropy of
 softmax(z / tau) against the labels. Without the PROB_FLOOR clamp that

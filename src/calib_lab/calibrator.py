@@ -232,8 +232,7 @@ def batch_loss(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.nda
 
 
 def grad_params(p: CalibratorParams, F: np.ndarray, Z: np.ndarray, labels: np.ndarray,
-                kind: LossKind = LossKind.CA,
-                mode: DiscrepancyMode = DiscrepancyMode.SQUARED_L2) -> list:
+                kind: LossKind, mode: DiscrepancyMode) -> list:
     """Exact gradient of the mean batch loss as (dW, db) pairs laid out
     like ``p.layers``: d(loss)/d(tau) chained through softplus, the
     linear layers, and ReLU (derivative at 0 taken as 0). The batch
@@ -365,8 +364,6 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
     theta = net.theta
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
-    update = np.empty_like(theta)
-    denom = np.empty_like(theta)
     step = 0
     rng = np.random.default_rng(config.seed + 1)
 
@@ -399,19 +396,9 @@ def train_stack(datasets, config: TrainConfig, *, trace: bool = True) -> list:
             step += 1
             bias1 = 1.0 - ADAM_BETA1 ** step
             bias2 = 1.0 - ADAM_BETA2 ** step
-            # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-            # theta -= lr * (m/bias1) / (sqrt(v/bias2) + eps), each rounded as written.
-            adam_m *= ADAM_BETA1
-            adam_m += (1.0 - ADAM_BETA1) * g
-            adam_v *= ADAM_BETA2
-            adam_v += (1.0 - ADAM_BETA2) * g * g
-            np.divide(adam_v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            np.divide(adam_m, bias1, out=update)
-            update /= denom
-            update *= config.learning_rate
-            theta -= update
+            adam_m = ADAM_BETA1 * adam_m + (1.0 - ADAM_BETA1) * g
+            adam_v = ADAM_BETA2 * adam_v + (1.0 - ADAM_BETA2) * g * g
+            theta -= adam_m / bias1 / (np.sqrt(adam_v / bias2) + ADAM_EPS) * config.learning_rate
             finite(epoch, theta)
         # An overflowed g * g leaves theta finite but stops Adam moving those weights.
         finite(epoch, adam_v)

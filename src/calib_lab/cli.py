@@ -90,15 +90,15 @@ def _cmd_eval(args) -> int:
     if args.params:
         params = io.load_params(args.params)
         _, confidences = calibrator.calibrate_dataset(params, d)
-        method = args.label or "adaptive"
+        method = "adaptive"
     elif args.global_ts:
         t = baselines.fit_global_temperature(d)
         confidences = baselines.apply_global(d, t)
-        method = args.label or "ts"
+        method = "ts"
     else:
         confidences = None
-        method = args.label or "uncal"
-    rep = metrics.report(d, confidences, bins=args.bins)
+        method = "uncal"
+    rep = metrics.report(d, confidences)
     io.export_metrics_csv(args.out, [(method, rep)], raw=args.raw)
     return 0
 
@@ -169,9 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--global-ts", action="store_true",
                        help="fit and apply a single global temperature")
     group.add_argument("--uncalibrated", action="store_true", help="evaluate as-is (default)")
-    p.add_argument("--bins", type=int, default=metrics.DEFAULT_BINS)
     p.add_argument("--raw", action="store_true", help="exact values instead of x100 rounding")
-    p.add_argument("--label", help="method column override")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("surface", help="loss-surface grid CSV")
@@ -217,7 +215,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CalibrationError, OSError, ValueError) as exc:
+    except (CalibrationError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"calib-lab: error: {exc}", file=sys.stderr)
         return 2
 

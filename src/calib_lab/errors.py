@@ -20,12 +20,11 @@ class DatasetFormatError(CalibrationError, ValueError):
     ``line`` is the 1-based line number, ``field`` the offending key.
     """
 
-    def __init__(self, message: str, *, line: int | None = None, field: str | None = None):
+    def __init__(self, message: str, *, line: int, field: str | None = None):
         self.line = line
         self.field = field
-        prefix = f"line {line}: " if line is not None else ""
         suffix = f" (field: {field})" if field else ""
-        super().__init__(f"{prefix}{message}{suffix}")
+        super().__init__(f"line {line}: {message}{suffix}")
 
 
 class UnsupportedVersionError(CalibrationError, ValueError):
@@ -51,6 +50,6 @@ class ShortfallError(CalibrationError, ValueError):
 class TrainingDivergedError(CalibrationError, RuntimeError):
     """Raised when training produces a non-finite loss; carries the epoch index."""
 
-    def __init__(self, epoch: int, message: str = ""):
+    def __init__(self, epoch: int, message: str):
         self.epoch = epoch
-        super().__init__(message or f"training loss became non-finite at epoch {epoch}")
+        super().__init__(message)

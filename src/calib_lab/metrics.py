@@ -21,7 +21,7 @@ DEFAULT_BINS = 25
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """One evaluation row: calibration metrics, accuracy, record count and bins."""
+    """One evaluation row: calibration metrics, accuracy and record count."""
 
     ece: float
     brier: float
@@ -29,7 +29,6 @@ class MetricsReport:
     auroc: float  # NaN when only one outcome class is present
     accuracy: float
     n: int
-    bins: int
 
 
 def ece(confidences, correct, bins: int = DEFAULT_BINS) -> float:
@@ -92,7 +91,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsReport:
+def report(d: Dataset, confidences=None) -> MetricsReport:
     """Bundle every metric for a dataset under the given confidences
     (uncalibrated ones when omitted); AUROC is NaN where it is undefined."""
     view = correctness_view(d)
@@ -103,11 +102,10 @@ def report(d: Dataset, confidences=None, bins: int = DEFAULT_BINS) -> MetricsRep
     except UndefinedMetricError:
         auc = float("nan")
     return MetricsReport(
-        ece=ece(confidences, view.correct, bins),
+        ece=ece(confidences, view.correct),
         brier=brier_top_label(confidences, view.correct),
         ks=ks_error(confidences, view.correct),
         auroc=auc,
         accuracy=view.accuracy,
         n=d.n,
-        bins=bins,
     )

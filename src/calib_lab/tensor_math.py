@@ -87,12 +87,12 @@ def read_array(values, name: str, kinds: str = "iuf", *, shape: tuple | None = N
     return arr.astype(np.float64, copy=False) if kinds == "iuf" else arr
 
 
-def read_only(values, dtype=None, *, copy: bool = True) -> np.ndarray:
-    """``values`` as a read-only array of ``dtype``, the one rule by which a value
+def read_only(values, *, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only array, the one rule by which a value
     object holds its arrays: a copy, so the caller's array stays writable and later
     writes to it cannot reach the object. ``copy=False`` freezes a caller's fresh
     array in place instead, and refuses one that would need a copy."""
-    arr = np.array(values, dtype=dtype, copy=copy)
+    arr = np.array(values, copy=copy)
     arr.setflags(write=False)
     return arr
 

@@ -142,7 +142,8 @@ def test_forward_refuses_non_finite_features(bad):
 
 def test_grad_params_refuses_ragged_logits():
     with pytest.raises(InvalidInputError, match="rectangular"):
-        grad_params(init_params(2, 1, 2), np.zeros((2, 2)), [[0.0, 1.0], [0.0]], [0, 1])
+        grad_params(init_params(2, 1, 2), np.zeros((2, 2)), [[0.0, 1.0], [0.0]], [0, 1],
+                    LossKind.CA, SQ)
 
 
 def test_init_params_refuses_counts_that_are_not_integers():

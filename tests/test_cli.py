@@ -264,6 +264,22 @@ def test_missing_file_fails_cleanly(tmp_path, capsys):
     assert not out.exists()  # no partial output
 
 
+# Both sizes ask for 728 TiB, past the 47-bit address space (128 TiB), so the allocation
+# is refused up front under any overcommit policy; a step of 1e-320 makes the a grid's
+# point count overflow to inf.
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n", "100000000000000"],
+    ["surface", "--loss", "ca", "--tau-points", "100000000000000"],
+    ["surface", "--loss", "ca", "--a-step", "1e-320"],
+], ids=["synth-memory", "surface-memory", "surface-overflow"])
+def test_an_out_of_memory_or_overflow_failure_is_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("calib-lab: error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"label": 0, "logits": [1.0, 0.0], "transforms": [[0.9, 0.9]]}\n')

@@ -263,7 +263,7 @@ def test_report_fields_match_standalone_ops():
     assert rep.ks == ks_error(view.confidence, view.correct)
     assert rep.auroc == auroc(view.confidence, view.correct)
     assert rep.accuracy == view.accuracy
-    assert rep.n == 300 and rep.bins == 25
+    assert rep.n == 300
 
 
 def test_reports_sharing_a_stored_view_equal_reports_on_fresh_copies():

@@ -376,3 +376,98 @@ def test_scan_finds_blas_in_scoring():
 
 def test_scoring_makes_no_blas_call():
     assert blas_in_scoring((SRC / "calibrator.py").read_text()) == []
+
+
+# Every flag of a subcommand is read by its handler. Flags parsed but never read, each
+# with its reason.
+UNREAD_FLAGS = {
+    "eval: uncalibrated": "bench/workloads.py passes it; ROADMAP direction 12 step B "
+                           "deletes both",
+}
+
+
+def _flag_dests(node, functions: dict, bound: dict) -> set[str]:
+    """Destinations of the flags ``node`` adds: every call whose first string argument,
+    a literal or the name of a ``for`` over a literal tuple, starts with "-", named by
+    its ``dest=`` if given; a call of a function in ``functions`` adds its flags too."""
+    if isinstance(node, ast.For) and isinstance(node.target, ast.Name) \
+            and isinstance(_literal(node.iter), tuple):
+        return {dest for value in _literal(node.iter) for stmt in node.body
+                for dest in _flag_dests(stmt, functions, {**bound, node.target.id: value})}
+    found = set()
+    if isinstance(node, ast.Call):
+        strings = [bound.get(a.id) if isinstance(a, ast.Name) else _literal(a) for a in node.args]
+        flag = next((s for s in strings if isinstance(s, str)), "")
+        if flag.startswith("-"):
+            dest = next((_literal(k.value) for k in node.keywords if k.arg == "dest"), None)
+            found.add(dest or flag.lstrip("-").replace("-", "_"))
+        if isinstance(node.func, ast.Name) and node.func.id in functions:
+            found |= _flag_dests(functions[node.func.id], functions, {})
+    for child in ast.iter_child_nodes(node):
+        found |= _flag_dests(child, functions, bound)
+    return found
+
+
+def _handler_reads(fn, config_fields: dict) -> set[str]:
+    """Names a handler reads from its first argument: as an attribute, as a name of a
+    ``_given`` call, or as a field of the config class of a ``_config`` call."""
+    args, reads = fn.args.args[0].arg, set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == args:
+            reads.add(node.attr)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_given":
+            reads |= set(_literal(node.args[1]) or ())
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_config":
+            cls = node.args[0]
+            reads |= config_fields.get(getattr(cls, "attr", getattr(cls, "id", None)), set())
+    return reads
+
+
+def unread_flags(sources: dict[str, str]) -> list[str]:
+    """Flags of each subcommand that ``build_parser`` in ``sources["cli"]`` makes (a
+    ``sub.add_parser`` assignment starts one; ``set_defaults(func=...)`` names its
+    handler) whose destination the handler never reads, as ``"command: dest"``. Config
+    classes are the top-level classes of any module in ``sources``."""
+    config_fields = {cls.name: {f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)}
+                     for source in sources.values() for cls in ast.parse(source).body
+                     if isinstance(cls, ast.ClassDef)}
+    functions = {fn.name: fn for fn in ast.parse(sources["cli"]).body
+                 if isinstance(fn, ast.FunctionDef)}
+    dests, handlers, command = {}, {}, None
+    for stmt in functions["build_parser"].body:
+        call = getattr(stmt, "value", None)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_parser":
+            command = _literal(call.args[0])
+            dests[command] = set()
+        elif command is not None:
+            dests[command] |= _flag_dests(stmt, functions, {})
+            handlers.update((command, k.value.id) for k in getattr(call, "keywords", ())
+                            if k.arg == "func")
+    return [f"{command}: {dest}" for command in dests for dest
+            in sorted(dests[command] - _handler_reads(functions[handlers[command]], config_fields))]
+
+
+def test_scan_finds_an_unread_flag():
+    config = "from dataclasses import dataclass\n@dataclass\nclass Config:\n    k: int = 1\n"
+    cli = ("from .config import Config\n"
+           "def _enum_flag(parser, flag, kind):\n    parser.add_argument(flag, type=kind)\n"
+           "def _shared(parser):\n    _enum_flag(parser, '--loss', str)\n"
+           "    parser.add_argument('--rate', dest='k')\n"
+           "def _cmd_a(args):\n    return _config(Config, args), args.out\n"
+           "def _cmd_b(args):\n    return _given(args, ('x_min',))\n"
+           "def build_parser():\n    parser = argparse.ArgumentParser()\n"
+           "    parser.add_argument('--top')\n    sub = parser.add_subparsers(dest='command')\n"
+           "    p = sub.add_parser('a')\n    p.add_argument('--out')\n    _shared(p)\n"
+           "    group = p.add_mutually_exclusive_group()\n    group.add_argument('--unread')\n"
+           "    p.set_defaults(func=_cmd_a)\n"
+           "    p = sub.add_parser('b')\n"
+           "    for flag in ('--x-min', '--x-max'):\n        p.add_argument(flag, type=float)\n"
+           "    p.add_argument('--out', default='-')\n    p.set_defaults(func=_cmd_b)\n"
+           "    return parser\n")
+    assert unread_flags({"config": config, "cli": cli}) == [
+        "a: loss", "a: unread", "b: out", "b: x_max"]
+
+
+def test_every_cli_flag_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_flags(sources) == sorted(UNREAD_FLAGS)
