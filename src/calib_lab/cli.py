@@ -24,8 +24,7 @@ import numpy as np
 from . import analysis, baselines, calibrator, datagen, io, metrics
 from .errors import CalibrationError
 from .losses import DiscrepancyMode, LossKind
-from .records import correctness_view
-from .tensor_math import check_real
+from .tensor_math import check_count, check_real
 
 
 def _given(args, names) -> dict:
@@ -47,6 +46,11 @@ def _enum_flag(parser: argparse.ArgumentParser, flag: str, kind, **kwargs) -> No
 def _bands(text: str) -> list:
     """``low:high`` pairs separated by commas, as a list of float lists."""
     return [[float(v) for v in part.split(":")] for part in text.split(",")]
+
+
+def _k_values(text: str) -> list:
+    """Integers separated by commas, as a list."""
+    return [int(part) for part in text.split(",")]
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -79,9 +83,7 @@ def _cmd_apply(args) -> int:
     d = io.load_dataset(args.data)
     params = io.load_params(args.params)
     taus, confidences = calibrator.calibrate_dataset(params, d)
-    view = correctness_view(d)
-    io.export_confidence_csv(args.out, d.record_ids, d.labels, view.predicted,
-                             view.correct, taus, confidences)
+    io.export_confidence_csv(args.out, d, taus, confidences)
     return 0
 
 
@@ -104,10 +106,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    check_real(args.a_step, "--a-step", 0.0)
-    a_values = np.linspace(args.a_min, args.a_max,
-                           int(round((args.a_max - args.a_min) / args.a_step)) + 1)
-    tau_values = np.geomspace(args.tau_lo, args.tau_hi, args.tau_points)
+    a_min = check_real(args.a_min, "--a-min", -np.inf)
+    a_max = check_real(args.a_max, "--a-max", a_min, closed=True)
+    a_step = check_real(args.a_step, "--a-step", 0.0)
+    check_count(args.tau_points, "--tau-points", 0)
+    a_values = np.linspace(a_min, a_max, int(round((a_max - a_min) / a_step)) + 1)
+    tau_values = np.geomspace(check_real(args.tau_lo, "--tau-lo", 0.0),
+                              check_real(args.tau_hi, "--tau-hi", 0.0), args.tau_points)
     grid = analysis.loss_surface(args.loss, a_values, tau_values, **_given(args, ("mode",)))
     io.export_surface_csv(args.out, grid)
     return 0
@@ -123,10 +128,8 @@ def _cmd_wrongness(args) -> int:
 
 
 def _cmd_ksweep(args) -> int:
-    train_set = io.load_dataset(args.train_data)
-    test_set = io.load_dataset(args.test_data)
-    k_values = [int(part) for part in args.k_values.split(",")]
-    rows = analysis.k_sweep(train_set, test_set, k_values, _config(calibrator.TrainConfig, args))
+    rows = analysis.k_sweep(io.load_dataset(args.train_data), io.load_dataset(args.test_data),
+                            args.k_values, _config(calibrator.TrainConfig, args))
     io.export_ksweep_csv(args.out, rows)
     return 0
 
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-data", required=True)
     p.add_argument("--test-data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k-values", default="1,2,3,4,5,6,8,10")
+    p.add_argument("--k-values", type=_k_values, default="1,2,3,4,5,6,8,10")
     _add_train_flags(p)
     p.set_defaults(func=_cmd_ksweep)
     return parser

@@ -1,10 +1,10 @@
 """On-disk formats: dataset JSONL, calibrator-parameter JSON, and CSV
 exports for metric/surface/experiment rows.
 
-Floats are serialized through ``repr`` (shortest exact decimal), so
-every round-trip is lossless at 64-bit precision. All writers go
-through a write-to-temp-then-rename step: a failed run never leaves a
-partial file behind.
+Floats are serialized through ``repr`` (shortest exact decimal), so every round-trip is
+lossless at 64-bit precision. The dataset reader checks only JSON structure; every value
+check, the transform-row sum rule included, is ``Dataset``'s. All writers go through a
+write-to-temp-then-rename step: a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import tempfile
-import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import astuple, fields
@@ -26,25 +25,10 @@ from .analysis import BandRow, KSweepRow, SurfaceGrid
 from .calibrator import CalibratorParams, TrainingTrace, layer_keys
 from .errors import DatasetFormatError, InvalidInputError, UnsupportedVersionError
 from .metrics import MetricsReport
-from .records import PROB_SUM_TOL, Dataset
+from .records import Dataset, correctness_view
 from .tensor_math import check_member, read_array
 
 PARAMS_VERSION = 1
-
-# Transform rows off by more than records.PROB_SUM_TOL are renormalized:
-# silently up to _SUM_SILENT, with one warning per file up to _SUM_WARN.
-_SUM_SILENT = 1e-6
-_SUM_WARN = 1e-3
-
-METRICS_HEADER = ("method", "ece", "bs", "ks", "auroc", "accuracy", "n")
-SURFACE_HEADER = ("loss_kind", "a", "tau", "loss", "c_gt")
-
-
-def _umask() -> int:
-    # The umask can only be read by setting it, so put it straight back.
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 @contextmanager
@@ -56,7 +40,9 @@ def _atomic_open(path):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
-        os.chmod(tmp_name, 0o666 & ~_umask())
+        mask = os.umask(0)  # the umask can only be read by setting it, so put it straight back
+        os.umask(mask)
+        os.chmod(tmp_name, 0o666 & ~mask)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -93,9 +79,9 @@ def _extend(buf: array, values, length: int, line_no: int, field: str, bools: bo
 def load_dataset(path) -> Dataset:
     """Read a JSONL dataset; the 1-based line numbers become record IDs.
 
-    Lines are checked only for their JSON shape (C and M are fixed by the
-    first record) and streamed into flat buffers. Every value check runs
-    once, in ``Dataset``; its first failure is re-raised at its line.
+    Lines are checked only for their JSON shape (C and M are fixed by the first record)
+    and streamed into flat buffers. Every value check, the transform-row sum rule included,
+    runs once, in ``Dataset``; its first failure is re-raised at its line.
     """
     logits, transforms, labels, ids = array("d"), array("d"), array("q"), array("q")
     c = m = None
@@ -136,21 +122,10 @@ def load_dataset(path) -> Dataset:
             ids.append(line_no)
     if not ids:
         raise DatasetFormatError("dataset file holds no records", line=1)
-    probs = np.frombuffer(transforms).reshape(-1, m, c)
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = probs.sum(axis=2, keepdims=True)
-    gaps = np.abs(sums - 1.0)
-    # Rows further off than _SUM_WARN are left as they are for Dataset to reject.
-    fix = (gaps > PROB_SUM_TOL) & (gaps <= _SUM_WARN)
-    loud = fix & (gaps > _SUM_SILENT)
-    if loud.any():
-        warnings.warn(f"{np.count_nonzero(loud)} transform rows sum to 1 within {_SUM_WARN:g} but "
-                      f"not {_SUM_SILENT:g} (first at line {ids[np.argmax(loud.any(axis=(1, 2)))]});"
-                      " renormalizing", stacklevel=2)
-    np.divide(probs, sums, out=probs, where=fix)
     try:
         return Dataset(np.frombuffer(logits).reshape(-1, c), np.frombuffer(labels, dtype=np.int64),
-                       probs, record_ids=np.frombuffer(ids, dtype=np.int64))
+                       np.frombuffer(transforms).reshape(-1, m, c),
+                       record_ids=np.frombuffer(ids, dtype=np.int64))
     except InvalidInputError as exc:
         raise DatasetFormatError(exc.reason, line=ids[exc.row], field=exc.field) from exc
 
@@ -215,7 +190,8 @@ def export_metrics_csv(path, rows, raw: bool = False) -> None:
         check_member(rep, MetricsReport, "each row's report")
         values = (float(v) for v in (rep.ece, rep.brier, rep.ks, rep.auroc, rep.accuracy))
         return [method, *(v if raw or v != v else f"{100.0 * v:.2f}" for v in values), rep.n]
-    _write_csv(path, METRICS_HEADER, (cells(method, rep) for method, rep in rows))
+    _write_csv(path, ("method", "ece", "bs", "ks", "auroc", "accuracy", "n"),
+               (cells(method, rep) for method, rep in rows))
 
 
 def export_surface_csv(path, grid: SurfaceGrid) -> None:
@@ -224,7 +200,8 @@ def export_surface_csv(path, grid: SurfaceGrid) -> None:
     a, tau = np.meshgrid(grid.a_values, grid.tau_values, indexing="ij")
     columns = (np.asarray(c, dtype=np.float64).ravel().tolist()
                for c in (a, tau, grid.loss, grid.c_gt))
-    _write_csv(path, SURFACE_HEADER, zip(repeat(grid.loss_kind.value), *columns))
+    _write_csv(path, ("loss_kind", "a", "tau", "loss", "c_gt"),
+               zip(repeat(grid.loss_kind.value), *columns))
 
 
 def export_band_rows_csv(path, rows) -> None:
@@ -240,12 +217,11 @@ def export_trace_csv(path, trace: TrainingTrace) -> None:
     _write_csv(path, ("epoch", "loss"), zip(trace.epochs.tolist(), trace.losses.tolist()))
 
 
-def export_confidence_csv(path, record_ids, labels, predicted, correct, taus, confidences) -> None:
-    columns = [read_array(c, "confidence CSV columns", kinds) for c, kinds in zip(
-        (record_ids, labels, predicted, correct, taus, confidences), ["biu"] * 4 + ["iuf"] * 2)]
-    if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
-        raise InvalidInputError("confidence CSV columns must be vectors of one length")
-    ints = (c.astype(np.int64).tolist() for c in columns[:4])
-    floats = (c.tolist() for c in columns[4:])
+def export_confidence_csv(path, d: Dataset, taus, confidences) -> None:
+    """Per record of ``d``: id, label, predicted label, correctness as 0/1, tau, confidence."""
+    view = correctness_view(check_member(d, Dataset, "dataset"))
+    floats = (read_array(c, name, shape=(d.n,)).tolist()
+              for c, name in ((taus, "taus"), (confidences, "confidences")))
     _write_csv(path, ("record_id", "label", "predicted", "correct", "tau", "confidence"),
-               zip(*ints, *floats))
+               zip(d.record_ids.tolist(), d.labels.tolist(), view.predicted.tolist(),
+                   view.correct.astype(np.int64).tolist(), *floats))

@@ -175,12 +175,26 @@ def test_surface_subcommand(tmp_path):
     (["--a-step", "0"], "--a-step must be finite and > 0"),
     (["--a-step", "nan"], "--a-step must be finite and > 0"),
     (["--tau-points", "0"], "at least one a value and one tau value"),
+    (["--a-min", "5"], "--a-max must be finite and >= 5"),
+    (["--a-min", "1", "--a-max", "0"], "--a-max must be finite and >= 1"),
+    (["--a-min", "nan"], "--a-min must be finite"),
+    (["--a-max", "inf"], "--a-max must be finite"),
+    (["--tau-lo", "0"], "--tau-lo must be finite and > 0"),
+    (["--tau-hi", "nan"], "--tau-hi must be finite and > 0"),
+    (["--tau-points", "-1"], "--tau-points must be an integer in [0, "),
 ])
 def test_surface_rejects_an_empty_or_undefined_grid(tmp_path, capsys, flags, message):
     out = tmp_path / "surface.csv"
     assert run(["surface", "--loss", "mse", "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_surface_takes_a_descending_tau_grid(tmp_path):
+    out = tmp_path / "surface.csv"
+    assert run(["surface", "--loss", "mse", "--out", str(out), "--a-min", "0", "--a-max", "0",
+                "--tau-lo", "2", "--tau-hi", "1", "--tau-points", "3"]) == 0
+    assert [float(r["tau"]) for r in read_csv(out)] == [2.0, 2.0 ** 0.5, 1.0]
 
 
 def test_train_rejects_a_tau_min_above_its_bound(tmp_path, capsys):
@@ -223,6 +237,16 @@ def test_wrongness_refuses_a_band_that_is_not_a_pair(tmp_path, capsys, bands):
     assert run(["wrongness", "--train-data", str(data), "--test-data", str(data),
                 "--out", str(out), "--bands", bands]) == 2
     assert "bands" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_values", ["1,x", ""])
+def test_ksweep_refuses_k_values_that_are_not_integers(tmp_path, capsys, k_values):
+    data = synth(tmp_path, "d.jsonl", n=50)
+    out = tmp_path / "k.csv"
+    assert run(["ksweep", "--train-data", str(data), "--test-data", str(data),
+                "--out", str(out), "--k-values", k_values]) == 2
+    assert "argument --k-values:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -414,12 +414,9 @@ def test_grad_params(kw):
             assert_finite(db, b.shape)
 
 
-COLUMNS = {"record_ids": LABELS, "labels": LABELS, "predicted": LABELS,
-           "correct": hnp.arrays(bool, N), "taus": arrays(N), "confidences": arrays(N)}
-
-
 @SETTINGS
-@given(calls(COLUMNS, {name: raw_arrays(N) for name in COLUMNS}))
+@given(calls({"d": st.just(DATA.subset(range(N))), "taus": arrays(N), "confidences": arrays(N)},
+             {"d": EXPORTED, "taus": raw_arrays(N), "confidences": raw_arrays(N)}))
 def test_export_confidence_csv(kw):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "applied.csv"

@@ -12,7 +12,8 @@ from calib_lab.calibrator import (TrainConfig, TrainingTrace, calibrate_dataset,
                                   init_params, train)
 from calib_lab.cli import run
 from calib_lab.datagen import SynthConfig, generate
-from calib_lab.errors import (DatasetFormatError, InvalidInputError, UnsupportedVersionError)
+from calib_lab.errors import (CalibrationError, DatasetFormatError, InvalidInputError,
+                              UnsupportedVersionError)
 from calib_lab.io import (export_band_rows_csv, export_confidence_csv, export_ksweep_csv,
                           export_metrics_csv, export_surface_csv, export_trace_csv, load_dataset,
                           load_params, save_dataset, save_params)
@@ -315,8 +316,10 @@ def test_exporters_refuse_a_wrong_typed_argument(tmp_path, export, value):
 
 def test_confidence_csv_writes_correctness_as_0_or_1(tmp_path):
     path = tmp_path / "applied.csv"
-    export_confidence_csv(path, np.array([3, 7]), [1, 0], np.array([1, 2]),
-                          np.array([True, False]), np.array([0.5, 2.0]), [0.9, 0.4])
+    # Record 3 is predicted 1 and right, record 7 predicted 2 and wrong.
+    d = Dataset([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1, 0], np.full((2, 1, 3), 1.0 / 3.0),
+                record_ids=[3, 7])
+    export_confidence_csv(path, d, np.array([0.5, 2.0]), [0.9, 0.4])
     assert path.read_text().splitlines() == ["record_id,label,predicted,correct,tau,confidence",
                                              "3,1,1,1,0.5,0.9", "7,0,2,0,2.0,0.4"]
     # A short column once cut every row after its end silently; strings and ragged
@@ -324,7 +327,7 @@ def test_confidence_csv_writes_correctness_as_0_or_1(tmp_path):
     other = tmp_path / "other.csv"
     for taus in ([0.5], [[0.5], [2.0, 1.0]], ["a", "b"]):
         with pytest.raises(InvalidInputError):
-            export_confidence_csv(other, [3, 7], [1, 0], [1, 2], [1, 0], taus, [0.9, 0.4])
+            export_confidence_csv(other, d, taus, [0.9, 0.4])
     assert not other.exists()
 
 
@@ -458,7 +461,57 @@ def test_loader_renormalizes_mixed_gaps_with_one_warning(tmp_path, c):
     assert d.transform_probs.tobytes() == expected.tobytes()
     assert [w.category for w in caught] == [UserWarning]
     assert "6 transform rows" in str(caught[0].message)
-    assert "first at line 6" in str(caught[0].message)
+    assert "first at record id 6" in str(caught[0].message)
+
+
+def _build(make):
+    """The dataset ``make`` builds, or the CalibrationError it raises, and the
+    messages of the warnings it emits on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = make()
+        except CalibrationError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+REFUSED = (2e-3, -2e-3, "negative")
+
+
+@pytest.mark.parametrize("case", [0.0, 5e-10, -5e-10, 5e-7, -5e-7, 5e-4, -5e-4, *REFUSED,
+                                  "float32"])
+def test_dataset_and_file_give_one_answer_on_transform_rows(tmp_path, case):
+    # Rows off from a sum of 1 by up to 1e-3 once loaded from a file but were
+    # refused by Dataset beyond 1e-9, and a refused file warned first.
+    rng = np.random.default_rng(31)
+    n, m, c = 6, 2, 4
+    logits, labels = rng.normal(size=(n, c)), rng.integers(0, c, n)
+    probs = rng.dirichlet(np.ones(c), size=(n, m))
+    if case == "float32":
+        z = rng.normal(size=(n, m, c)).astype(np.float32)
+        e = np.exp(z - z.max(axis=2, keepdims=True))
+        probs = (e / e.sum(axis=2, keepdims=True)).astype(np.float64)
+    elif case == "negative":
+        probs[3, 1] = [1.2, -0.2, 0.0, 0.0]
+    else:
+        probs[3, 1, np.argmax(probs[3, 1])] += case
+    if case in REFUSED:
+        probs[1, 0, np.argmax(probs[1, 0])] += 5e-4  # would warn, were the set not refused
+    path = tmp_path / "rows.jsonl"
+    write_lines(path, [json.dumps({"label": int(y), "logits": z.tolist(), "transforms": t.tolist()})
+                       for y, z, t in zip(labels, logits, probs)])
+    # Record ids equal to the line numbers, so the two warnings read alike.
+    in_memory, warned = _build(lambda: Dataset(logits, labels, probs, np.arange(1, n + 1)))
+    from_file, file_warned = _build(lambda: load_dataset(path))
+    assert warned == file_warned and len(warned) == (case in (5e-4, -5e-4))
+    if case in REFUSED:
+        assert isinstance(in_memory, InvalidInputError)
+        assert isinstance(from_file, DatasetFormatError)
+        assert (from_file.field, from_file.line) == (in_memory.field, in_memory.row + 1)
+        assert in_memory.reason in str(from_file)
+    else:
+        assert from_file.transform_probs.tobytes() == in_memory.transform_probs.tobytes()
 
 
 FUZZ_BASE = "".join(record_line(label=i) + "\n" for i in range(3)).encode()

@@ -148,7 +148,7 @@ def _corrupt(what):
     if "sign" in what:
         probs[3, 1] = [1.2, -0.2, 0.0]
     if "sum" in what:
-        probs[1, 0, 0] += 1e-6
+        probs[1, 0, 0] += 1e-2
     return logits, labels, probs
 
 
